@@ -7,12 +7,38 @@
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
 namespace rispar::bench {
+
+/// CPU seconds of the whole process, over every thread.
+inline double process_cpu_seconds() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+/// Rows that run on the thread pool report wall-clock throughput
+/// (UseRealTime at registration): google-benchmark's own cpu_time covers
+/// only the main thread, which idles while the workers scan. This side
+/// counter keeps the CPU cost in view — process CPU milliseconds per
+/// iteration, every worker included. Construct before the timed loop,
+/// call report() after it.
+class ProcessCpuCounter {
+ public:
+  ProcessCpuCounter() : start_(process_cpu_seconds()) {}
+  void report(benchmark::State& state) const {
+    state.counters["process_cpu_ms"] = benchmark::Counter(
+        (process_cpu_seconds() - start_) * 1e3, benchmark::Counter::kAvgIterations);
+  }
+
+ private:
+  double start_;
+};
 
 inline int run_benchmarks_with_default_out(int argc, char** argv,
                                            const char* json_path) {

@@ -16,14 +16,6 @@
 
 namespace rispar::bench {
 
-/// The one benchmark-arg encoding of the kernel knob, shared by every
-/// micro driver (and mirrored in the `*/reference`, `*/fused`, `*/simd`
-/// series labels): 0 = reference, 1 = fused, 2 = simd.
-inline DetKernel kernel_from_range(std::int64_t value) {
-  if (value == 0) return DetKernel::kReference;
-  return value == 2 ? DetKernel::kSimd : DetKernel::kFused;
-}
-
 /// A workload compiled to its chunk automata plus a symbol text, behind a
 /// default Engine. Drivers that sweep thread counts build further Engines
 /// from `prepared.engine.pattern()` — the compiled machines are shared.

@@ -4,8 +4,14 @@
 //   8c/8d: speedup vs text size at a fixed thread count.
 //
 // Speedup = exec time of the DFA variant / exec time of RID at the same c.
+// The defaults stop at the host's hardware thread count, so every chunk
+// has a core of its own; `--threads 2,6,10,18,26,34,42,50,58
+// --fixed-threads 58` reproduces the paper's sweep (oversubscribed on
+// smaller hosts).
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <thread>
 
 #include "common.hpp"
@@ -15,11 +21,25 @@
 using namespace rispar;
 using namespace rispar::bench;
 
+namespace {
+
+/// 1, 2, 4, ... below the host's hardware thread count, then that count.
+std::string default_thread_sweep(unsigned hardware) {
+  std::string sweep;
+  for (unsigned t = 1; t < hardware; t *= 2) sweep += std::to_string(t) + ",";
+  return sweep + std::to_string(hardware);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   Cli cli("fig8_speedup_scaling", "Fig. 8: RID vs DFA speedup scaling");
-  cli.add_option("threads", "2,6,10,18,26,34,42,50,58",
-                 "thread sweep for Fig. 8a/8b (paper: 2..66)");
-  cli.add_option("fixed-threads", "58", "thread count for Fig. 8c/8d (paper: 58)");
+  cli.add_option("threads", default_thread_sweep(hardware),
+                 "thread sweep for Fig. 8a/8b (default: powers of two up to the "
+                 "hardware threads; paper: 2..66)");
+  cli.add_option("fixed-threads", std::to_string(hardware),
+                 "thread count for Fig. 8c/8d (default: hardware threads; paper: 58)");
   cli.add_option("scale", "1.0", "text-size scale factor");
   cli.add_option("k", "6", "regexp family parameter k");
   cli.add_option("seed", "8", "text generation seed");

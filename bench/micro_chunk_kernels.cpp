@@ -1,7 +1,7 @@
 // Microbenchmarks of the reach-phase kernels: speculative deterministic
-// runs (fused vs reference implementation, independent vs convergent) and
-// the NFA frontier kernel, on one chunk of each benchmark group's
-// representative.
+// runs (the chunk walker vs the reference oracle, independent vs
+// convergent) and the NFA frontier kernel, on one chunk of each benchmark
+// group's representative.
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_chunk_kernels.json in the working
@@ -9,6 +9,7 @@
 // trajectory (see docs/perf.md).
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,85 +50,86 @@ const ChunkFixture& traffic_fixture() {
   return fixture;
 }
 
-using rispar::bench::kernel_from_range;
+// Every deterministic shape runs twice: through the production chunk
+// walker (run_chunk_det, series label "walker") and through the seed
+// oracle (run_chunk_det_reference, label "reference"), so each walker row
+// has its A/B baseline next to it.
+using ChunkFn = DetChunkResult (*)(const Dfa&, std::span<const Symbol>,
+                                   std::span<const State>, const DetChunkOptions&);
 
-DetChunkOptions options_from_args(const benchmark::State& state) {
-  return DetChunkOptions{.convergence = state.range(0) != 0,
-                         .kernel = kernel_from_range(state.range(1))};
+const char* impl_label(ChunkFn run) {
+  return run == &run_chunk_det_reference ? "reference" : "walker";
 }
 
-std::string label_from_args(const benchmark::State& state) {
-  std::string label = state.range(0) ? "convergent" : "independent";
-  label += std::string("/") + kernel_name(kernel_from_range(state.range(1)));
-  return label;
+std::string mode_label(const benchmark::State& state, ChunkFn run) {
+  return std::string(state.range(0) ? "convergent/" : "independent/") + impl_label(run);
 }
 
-// The acceptance-criterion shape: >= 16 speculative starts over a 64 KiB
-// chunk (bible's minimal DFA has 17 states). Args: (convergence, kernel).
-void BM_DetKernelAllStarts_Winning(benchmark::State& state) {
+// The many-starts shape: >= 16 speculative starts over a 64 KiB chunk
+// (bible's minimal DFA has 17 states). Arg: convergence.
+void BM_DetKernelAllStarts_Winning(benchmark::State& state, ChunkFn run) {
   const ChunkFixture& f = bible_fixture();
-  const DetChunkOptions options = options_from_args(state);
+  const DetChunkOptions options{.convergence = state.range(0) != 0};
   for (auto _ : state) {
     const DetChunkResult result =
-        run_chunk_det(f.pattern.min_dfa(), f.chunk, f.dfa_starts, options);
+        run(f.pattern.min_dfa(), f.chunk, f.dfa_starts, options);
     benchmark::DoNotOptimize(result.lambda.size());
   }
-  state.SetLabel(label_from_args(state));
+  state.SetLabel(mode_label(state, run));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
 }
-BENCHMARK(BM_DetKernelAllStarts_Winning)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({0, 2})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DetKernelAllStarts_Even(benchmark::State& state) {
-  const ChunkFixture& f = traffic_fixture();
-  const DetChunkOptions options = options_from_args(state);
-  for (auto _ : state) {
-    const DetChunkResult result =
-        run_chunk_det(f.pattern.min_dfa(), f.chunk, f.dfa_starts, options);
-    benchmark::DoNotOptimize(result.lambda.size());
-  }
-  state.SetLabel(label_from_args(state));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
-}
-BENCHMARK(BM_DetKernelAllStarts_Even)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({0, 2})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RidKernelInterfaceStarts(benchmark::State& state) {
-  const ChunkFixture& f = bible_fixture();
-  const DetChunkOptions options{.kernel = kernel_from_range(state.range(0))};
-  for (auto _ : state) {
-    const DetChunkResult result = run_chunk_det(
-        f.pattern.ridfa().dfa(), f.chunk, f.pattern.ridfa().initial_states(), options);
-    benchmark::DoNotOptimize(result.lambda.size());
-  }
-  state.SetLabel(kernel_name(kernel_from_range(state.range(0))));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
-}
-BENCHMARK(BM_RidKernelInterfaceStarts)
+BENCHMARK_CAPTURE(BM_DetKernelAllStarts_Winning, walker, &run_chunk_det)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DetKernelAllStarts_Winning, reference, &run_chunk_det_reference)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Gather-vs-scalar sweep across the three table widths: synthetic cycle
+void BM_DetKernelAllStarts_Even(benchmark::State& state, ChunkFn run) {
+  const ChunkFixture& f = traffic_fixture();
+  const DetChunkOptions options{.convergence = state.range(0) != 0};
+  for (auto _ : state) {
+    const DetChunkResult result =
+        run(f.pattern.min_dfa(), f.chunk, f.dfa_starts, options);
+    benchmark::DoNotOptimize(result.lambda.size());
+  }
+  state.SetLabel(mode_label(state, run));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
+}
+BENCHMARK_CAPTURE(BM_DetKernelAllStarts_Even, walker, &run_chunk_det)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DetKernelAllStarts_Even, reference, &run_chunk_det_reference)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// The paper's RID shape: the interface starts of bible's RI-DFA, which
+// collapse to under two live runs within a few symbols.
+void BM_RidKernelInterfaceStarts(benchmark::State& state, ChunkFn run) {
+  const ChunkFixture& f = bible_fixture();
+  for (auto _ : state) {
+    const DetChunkResult result = run(f.pattern.ridfa().dfa(), f.chunk,
+                                      f.pattern.ridfa().initial_states(), {});
+    benchmark::DoNotOptimize(result.lambda.size());
+  }
+  state.SetLabel(impl_label(run));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
+}
+BENCHMARK_CAPTURE(BM_RidKernelInterfaceStarts, walker, &run_chunk_det)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RidKernelInterfaceStarts, reference, &run_chunk_det_reference)
+    ->Unit(benchmark::kMillisecond);
+
+// The many-live-runs sweep across the three table widths: synthetic cycle
 // DFAs sized to force u8 / u16 / i32 packing, 64 speculative starts that
-// all survive a 64 KiB chunk — the pure many-live-runs shape where the
-// per-symbol advance is everything and the vector gather has the most to
-// win. Cycle steps preserve start distinctness, so the convergent rows
-// keep every group live too (no collapse to the shared scalar tail).
-// Args: (width: 0=u8 1=u16 2=i32, kernel: 1=fused 2=simd, convergence).
+// all survive a 64 KiB chunk — the pure gather shape, where the per-symbol
+// advance is everything. Cycle steps preserve start distinctness, so the
+// convergent rows keep every group live too (no collapse to the lone-run
+// loop). Args: (width: 0=u8 1=u16 2=i32, convergence).
 Dfa cycle_dfa(std::int32_t n) {
   Dfa dfa = Dfa::with_identity_alphabet(2);
   for (std::int32_t s = 0; s < n; ++s) dfa.add_state(s == n - 1);
@@ -137,7 +139,7 @@ Dfa cycle_dfa(std::int32_t n) {
   return dfa;
 }
 
-void BM_GatherWidthSweep(benchmark::State& state) {
+void BM_GatherWidthSweep(benchmark::State& state, ChunkFn run) {
   static const Dfa u8_dfa = cycle_dfa(200);
   static const Dfa u16_dfa = cycle_dfa(4000);
   static const Dfa i32_dfa = cycle_dfa(70000);
@@ -149,28 +151,29 @@ void BM_GatherWidthSweep(benchmark::State& state) {
   for (int i = 0; i < 64; ++i)
     starts.push_back(static_cast<State>(
         prng.pick_index(static_cast<std::size_t>(dfa.num_states()))));
-  const DetChunkOptions options{.convergence = state.range(2) != 0,
-                                .kernel = kernel_from_range(state.range(1))};
+  const DetChunkOptions options{.convergence = state.range(1) != 0};
   for (auto _ : state) {
-    const DetChunkResult result = run_chunk_det(dfa, chunk, starts, options);
+    const DetChunkResult result = run(dfa, chunk, starts, options);
     benchmark::DoNotOptimize(result.lambda.size());
   }
   const char* width = state.range(0) == 0 ? "u8" : (state.range(0) == 1 ? "u16" : "i32");
-  state.SetLabel(std::string(width) + (state.range(2) ? "/convergent/" : "/") +
-                 kernel_name(kernel_from_range(state.range(1))));
+  state.SetLabel(std::string(width) + (state.range(1) ? "/convergent/" : "/") +
+                 impl_label(run));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * chunk.size()));
 }
-BENCHMARK(BM_GatherWidthSweep)
-    ->Args({0, 1, 0})
-    ->Args({0, 2, 0})
-    ->Args({1, 1, 0})
-    ->Args({1, 2, 0})
-    ->Args({2, 1, 0})
-    ->Args({2, 2, 0})
-    ->Args({0, 1, 1})
-    ->Args({0, 2, 1})
-    ->Args({1, 1, 1})
-    ->Args({1, 2, 1})
+BENCHMARK_CAPTURE(BM_GatherWidthSweep, walker, &run_chunk_det)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GatherWidthSweep, reference, &run_chunk_det_reference)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Governance-overhead series (the deadline_checkpoint rows of
@@ -180,28 +183,28 @@ BENCHMARK(BM_GatherWidthSweep)
 // trips — against the ungoverned baseline. The poll amortizes over
 // kGovernorStride symbols (util/governance.hpp), so the governed rows must
 // stay within the documented <2% of their baselines (docs/perf.md,
-// "Checkpoint polling granularity"). Args: (kernel, governed).
-void BM_DeadlineCheckpoint(benchmark::State& state) {
+// "Checkpoint polling granularity"). Arg: governed.
+void BM_DeadlineCheckpoint(benchmark::State& state, ChunkFn run) {
   const ChunkFixture& f = bible_fixture();
   static const QueryGovernor governor(std::chrono::hours(1), CancelToken{});
-  DetChunkOptions options{.kernel = kernel_from_range(state.range(0))};
-  if (state.range(1) != 0) options.governor = &governor;
+  DetChunkOptions options;
+  if (state.range(0) != 0) options.governor = &governor;
   for (auto _ : state) {
     const DetChunkResult result =
-        run_chunk_det(f.pattern.min_dfa(), f.chunk, f.dfa_starts, options);
+        run(f.pattern.min_dfa(), f.chunk, f.dfa_starts, options);
     benchmark::DoNotOptimize(result.lambda.size());
   }
-  state.SetLabel(std::string(kernel_name(kernel_from_range(state.range(0)))) +
-                 (state.range(1) ? "/governed" : "/baseline"));
+  state.SetLabel(std::string(impl_label(run)) +
+                 (state.range(0) ? "/governed" : "/baseline"));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
 }
-BENCHMARK(BM_DeadlineCheckpoint)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
+BENCHMARK_CAPTURE(BM_DeadlineCheckpoint, walker, &run_chunk_det)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DeadlineCheckpoint, reference, &run_chunk_det_reference)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 void BM_NfaKernelAllStarts(benchmark::State& state) {

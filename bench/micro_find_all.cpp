@@ -1,7 +1,8 @@
-// Microbenchmarks of the position-emitting finding path (ISSUE 3): the
-// find_matches kernel against the counting kernel it extends, across
-// (convergence × kernel implementation), plus PatternSet multi-pattern
-// serving of one text.
+// Microbenchmarks of the position-emitting finding path: find_matches
+// against counting on the same chunk walker and against the serial
+// oracle, with convergence on and off, plus PatternSet multi-pattern
+// serving of one text. Rows on the pool report wall-clock throughput with
+// process CPU time as a side counter (bench/benchmark_json_main.hpp).
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_find_all.json in the working directory,
@@ -42,94 +43,102 @@ FindFixture& fixture() {
   return f;
 }
 
-using rispar::bench::kernel_from_range;
-
 QueryOptions options_from_args(const benchmark::State& state) {
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(state.range(0));
   options.convergence = state.range(1) != 0;
-  options.kernel = kernel_from_range(state.range(2));
   return options;
 }
 
 std::string label_from_args(const benchmark::State& state) {
-  std::string label = "c=" + std::to_string(state.range(0));
-  label += state.range(1) ? "/convergent" : "/independent";
-  label += std::string("/") + kernel_name(kernel_from_range(state.range(2)));
-  return label;
+  return "c=" + std::to_string(state.range(0)) +
+         (state.range(1) ? "/convergent" : "/independent") + "/walker";
 }
 
-// The tentpole path: positioned occurrences over the Σ*p searcher. Args:
-// (chunks, convergence, kernel).
+// The serving path: positioned occurrences over the Σ*p searcher, one
+// chunk walk per chunk on the pool. Args: (chunks, convergence).
 void BM_FindMatches(benchmark::State& state) {
   FindFixture& f = fixture();
   const QueryOptions options = options_from_args(state);
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     const QueryResult result =
         find_matches(f.pattern.searcher(), f.input, f.pool, options);
     benchmark::DoNotOptimize(result.positions.size());
   }
+  cpu.report(state);
   state.SetLabel(label_from_args(state));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
 }
 BENCHMARK(BM_FindMatches)
-    ->Args({1, 0, 1})
-    ->Args({8, 0, 0})
-    ->Args({8, 0, 1})
-    ->Args({8, 0, 2})
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
-    ->Args({8, 1, 2})
-    ->Args({32, 1, 1})
-    ->Args({32, 1, 2})
+    ->Args({1, 0})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({32, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Exact-begin resolution layered on the same scan (ISSUE 9): every joined
-// hit additionally walks the cached reverse DFA backwards from its end to
-// the leftmost start. New series — no baseline in earlier BENCH files, so
-// bench_compare.py reports it as "new" rather than gating it; the expected
-// cost over BM_FindMatches is the per-hit backward walk, bounded by
-// match density × backward distance to the resolution floor (small for
-// separator-sound patterns like this literal). Args: (chunks, convergence,
-// kernel).
+// The reference row: find_matches_serial, the one-scan oracle every
+// BM_FindMatches row is property-tested against.
+void BM_FindMatchesSerial(benchmark::State& state) {
+  FindFixture& f = fixture();
+  for (auto _ : state) {
+    const QueryResult result = find_matches_serial(f.pattern.searcher(), f.input);
+    benchmark::DoNotOptimize(result.positions.size());
+  }
+  state.SetLabel("c=1/reference");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
+}
+BENCHMARK(BM_FindMatchesSerial)->Unit(benchmark::kMillisecond);
+
+// Exact-begin resolution layered on the same scan: every joined hit
+// additionally walks the cached reverse DFA backwards from its end to the
+// leftmost start. The expected cost over BM_FindMatches is the per-hit
+// backward walk, bounded by match density × backward distance to the
+// resolution floor (small for separator-sound patterns like this
+// literal). Args: (chunks, convergence).
 void BM_FindMatchesExactBegin(benchmark::State& state) {
   FindFixture& f = fixture();
   const ReverseBegins& reverse = f.pattern.reverse_begins();  // cached, unpaid
   QueryOptions options = options_from_args(state);
   options.begin_mode = BeginMode::kExact;
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     const QueryResult result = find_matches(f.pattern.searcher(), f.input,
                                             f.pool, options, 0, nullptr, &reverse);
     benchmark::DoNotOptimize(result.positions.size());
   }
+  cpu.report(state);
   state.SetLabel(label_from_args(state) + "/exact");
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
 }
 BENCHMARK(BM_FindMatchesExactBegin)
-    ->Args({1, 0, 1})
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
-    ->Args({32, 1, 1})
+    ->Args({1, 0})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({32, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// What positions cost over bare counting on the identical scan. Args as
-// above.
+// What positions cost over bare counting on the identical scan — the same
+// walker with a hit counter instead of a hit list. Args as above.
 void BM_CountMatchesBaseline(benchmark::State& state) {
   FindFixture& f = fixture();
-  QueryOptions options = options_from_args(state);
-  options.kernel = DetKernel::kFused;  // counting has no kernel knob
+  const QueryOptions options = options_from_args(state);
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     const QueryResult result =
         count_matches(f.pattern.searcher(), f.input, f.pool, options);
     benchmark::DoNotOptimize(result.matches);
   }
-  state.SetLabel("c=" + std::to_string(state.range(0)) +
-                 (state.range(1) ? "/convergent" : "/independent"));
+  cpu.report(state);
+  state.SetLabel(label_from_args(state));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
 }
 BENCHMARK(BM_CountMatchesBaseline)
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Multi-pattern serving: N patterns, one text, one pool — the PatternSet
@@ -141,14 +150,20 @@ void BM_PatternSetFind(benchmark::State& state) {
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(state.range(0));
   options.convergence = true;
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     const QueryResult result = set.find(f.text, options);
     benchmark::DoNotOptimize(result.matches);
   }
+  cpu.report(state);
   state.SetLabel("3 patterns, c=" + std::to_string(state.range(0)));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.text.size()));
 }
-BENCHMARK(BM_PatternSetFind)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PatternSetFind)
+    ->Arg(1)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

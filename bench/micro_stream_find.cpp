@@ -1,10 +1,12 @@
-// Microbenchmarks of the streaming-find path (ISSUE 4): a positions
-// StreamSession fed window by window against the one-shot find_matches
-// scan of the same text, across window size × chunk fan-out ×
-// (convergence, kernel). The interesting trade-off is window sizing: each
-// window pays one serialized join plus, for every chunk past the first,
-// speculation from all searcher states — small windows amortize badly,
-// large windows delay emission (docs/perf.md, "Streaming find").
+// Microbenchmarks of the streaming-find path: a positions StreamSession
+// fed window by window against the one-shot find_matches scan of the same
+// text, across window size × chunk fan-out × convergence. The interesting
+// trade-off is window sizing: each window pays one serialized join plus,
+// for every chunk past the first, speculation from all searcher states —
+// small windows amortize badly, large windows delay emission (docs/perf.md,
+// "Streaming find"). Every row runs on the pool, so every row reports
+// wall-clock throughput with process CPU time as a side counter
+// (bench/benchmark_json_main.hpp).
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_stream_find.json in the working
@@ -44,18 +46,18 @@ StreamFixture& fixture() {
   return f;
 }
 
-// The tentpole path: a positions session fed in windows, matches drained
+// The serving path: a positions session fed in windows, matches drained
 // through a sink (nothing accumulates). Args: (window KiB, chunks,
-// convergence, fused).
+// convergence).
 void BM_StreamFind(benchmark::State& state) {
   StreamFixture& f = fixture();
   QueryOptions options;
   options.positions = true;
   options.chunks = static_cast<std::size_t>(state.range(1));
   options.convergence = state.range(2) != 0;
-  options.kernel = rispar::bench::kernel_from_range(state.range(3));
   const std::size_t window = static_cast<std::size_t>(state.range(0)) << 10;
 
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     StreamSession stream = f.engine.stream(options);
     std::uint64_t sum = 0;
@@ -67,56 +69,55 @@ void BM_StreamFind(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
     benchmark::DoNotOptimize(stream.matches());
   }
+  cpu.report(state);
   state.SetLabel("w=" + std::to_string(state.range(0)) + "KiB/c=" +
                  std::to_string(state.range(1)) +
-                 (state.range(2) ? "/convergent" : "/independent") +
-                 "/" + kernel_name(options.kernel));
+                 (state.range(2) ? "/convergent" : "/independent") + "/walker");
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * f.text.size()));
 }
 BENCHMARK(BM_StreamFind)
-    ->Args({4, 1, 0, 1})
-    ->Args({64, 1, 0, 1})
-    ->Args({64, 8, 0, 1})
-    ->Args({64, 8, 0, 0})
-    ->Args({64, 8, 0, 2})
-    ->Args({64, 8, 1, 1})
-    ->Args({64, 8, 1, 2})
-    ->Args({256, 8, 0, 1})
-    ->Args({256, 8, 1, 1})
+    ->Args({4, 1, 0})
+    ->Args({64, 1, 0})
+    ->Args({64, 8, 0})
+    ->Args({64, 8, 1})
+    ->Args({256, 8, 0})
+    ->Args({256, 8, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // What window-by-window feeding costs over the one-shot scan of the same
-// text (the no-streaming upper bound). Args: (chunks, convergence, fused).
+// text (the no-streaming upper bound). Args: (chunks, convergence).
 void BM_OneShotFindBaseline(benchmark::State& state) {
   StreamFixture& f = fixture();
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(state.range(0));
   options.convergence = state.range(1) != 0;
-  options.kernel = state.range(2) != 0 ? DetKernel::kFused : DetKernel::kReference;
   const Dfa& searcher = f.engine.searcher();
   const std::vector<Symbol> input = searcher.symbols().translate(f.text);
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     const QueryResult result =
         find_matches(searcher, input, f.engine.pool(), options);
     benchmark::DoNotOptimize(result.positions.size());
   }
+  cpu.report(state);
   state.SetLabel("c=" + std::to_string(state.range(0)) +
-                 (state.range(1) ? "/convergent" : "/independent") +
-                 (state.range(2) ? "/fused" : "/reference"));
+                 (state.range(1) ? "/convergent" : "/independent") + "/walker");
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * input.size()));
 }
 BENCHMARK(BM_OneShotFindBaseline)
-    ->Args({1, 0, 1})
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
+    ->Args({1, 0})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Streaming exact begins (ISSUE 9): the same windowed feed with
-// begin_mode = kExact — each window's hits resolve through the reverse DFA
-// and the carry retains the history tail between windows. New series (no
-// baseline → bench_compare.py reports "new", not gated); expected overhead
+// Streaming exact begins: the same windowed feed with begin_mode = kExact
+// — each window's hits resolve through the reverse DFA and the carry
+// retains the history tail between windows. Not gated (no "walker" in the
+// label); expected overhead
 // over BM_StreamFind is the per-hit backward walk plus the history
 // bookkeeping, both small for separator-sound patterns. Args: (window KiB,
 // chunks).
@@ -127,6 +128,7 @@ void BM_StreamFindExactBegin(benchmark::State& state) {
   options.begin_mode = BeginMode::kExact;
   options.chunks = static_cast<std::size_t>(state.range(1));
   const std::size_t window = static_cast<std::size_t>(state.range(0)) << 10;
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     StreamSession stream = f.engine.stream(options);
     std::uint64_t sum = 0;
@@ -137,6 +139,7 @@ void BM_StreamFindExactBegin(benchmark::State& state) {
                   sink);
     benchmark::DoNotOptimize(sum);
   }
+  cpu.report(state);
   state.SetLabel("w=" + std::to_string(state.range(0)) + "KiB/c=" +
                  std::to_string(state.range(1)) + "/exact");
   state.SetBytesProcessed(
@@ -146,11 +149,12 @@ BENCHMARK(BM_StreamFindExactBegin)
     ->Args({64, 1})
     ->Args({64, 8})
     ->Args({256, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Multi-pattern streaming (ISSUE 9): one feed, N searcher carries, merged
-// tagged emission — against N× the single-pattern cost. New series (no
-// baseline → not gated). Args: (window KiB, chunks, exact).
+// Multi-pattern streaming: one feed, N searcher carries, merged tagged
+// emission — against N× the single-pattern cost. Not gated. Args: (window
+// KiB, chunks, exact).
 void BM_MultiStreamFind(benchmark::State& state) {
   static const PatternSet set =
       PatternSet::compile({"<h3>", "section", "the"}, {.threads = 4});
@@ -159,6 +163,7 @@ void BM_MultiStreamFind(benchmark::State& state) {
   options.chunks = static_cast<std::size_t>(state.range(1));
   if (state.range(2) != 0) options.begin_mode = BeginMode::kExact;
   const std::size_t window = static_cast<std::size_t>(state.range(0)) << 10;
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     MultiStreamSession session = set.stream_find(options);
     std::uint64_t sum = 0;
@@ -170,6 +175,7 @@ void BM_MultiStreamFind(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
     benchmark::DoNotOptimize(session.matches());
   }
+  cpu.report(state);
   state.SetLabel("3 patterns, w=" + std::to_string(state.range(0)) + "KiB/c=" +
                  std::to_string(state.range(1)) +
                  (state.range(2) ? "/exact" : "/separator"));
@@ -180,6 +186,7 @@ BENCHMARK(BM_MultiStreamFind)
     ->Args({64, 1, 0})
     ->Args({64, 1, 1})
     ->Args({64, 8, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The buffered drain shape (feed + take_matches per window) against the
@@ -189,6 +196,7 @@ void BM_StreamFindTakeMatches(benchmark::State& state) {
   QueryOptions options;
   options.positions = true;
   const std::size_t window = static_cast<std::size_t>(state.range(0)) << 10;
+  const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     StreamSession stream = f.engine.stream(options);
     std::size_t taken = 0;
@@ -199,11 +207,15 @@ void BM_StreamFindTakeMatches(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(taken);
   }
+  cpu.report(state);
   state.SetLabel("w=" + std::to_string(state.range(0)) + "KiB/take_matches");
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * f.text.size()));
 }
-BENCHMARK(BM_StreamFindTakeMatches)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StreamFindTakeMatches)
+    ->Arg(64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

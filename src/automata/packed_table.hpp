@@ -3,7 +3,8 @@
 // The RI-DFA construction produces small chunk automata (tens to a few
 // hundred states), yet the seed stored every table entry as an int32 in
 // state-major order. The packed copy differs in two ways, both for the
-// benefit of the speculative multi-start kernels (parallel/ca_run.cpp):
+// benefit of the speculative multi-start chunk walker
+// (parallel/chunk_walker.hpp):
 //
 //  * entries use the narrowest unsigned type that can hold `num_states`
 //    plus a dead sentinel, shrinking the working set up to 4× so the hot
@@ -47,7 +48,7 @@ struct PackedDead<std::int32_t> {
 
 /// The dead sentinel as it arrives from a zero-extending column gather
 /// (util/simd_gather.hpp): 0xFF / 0xFFFF for the narrow widths, kDeadState
-/// for i32. The kSimd kernels compare gathered i32 lanes against this.
+/// for i32. The chunk walker compares its i32 lanes against this.
 template <typename T>
 inline constexpr std::int32_t PackedWideDead =
     static_cast<std::int32_t>(PackedDead<T>::value);
@@ -133,11 +134,9 @@ struct PackedRun {
   std::size_t consumed = 0;
 };
 
-/// Scalar single-start loop shared by the serial oracle (core/serial_match)
-/// and the chunk kernels' single-start / lone-survivor fast paths
-/// (parallel/ca_run). One predictable validity branch per symbol — the
-/// unsigned cast folds the `< 0` and `>= num_symbols` checks into one
-/// compare.
+/// Scalar single-start loop of the serial oracle (core/serial_match). One
+/// predictable validity branch per symbol — the unsigned cast folds the
+/// `< 0` and `>= num_symbols` checks into one compare.
 template <typename T>
 PackedRun run_packed_single(const PackedTable& table, State start, const Symbol* input,
                             std::size_t length) {

@@ -21,7 +21,6 @@ void Device::stream_feed(StreamCarry& carry, std::span<const Symbol> window,
   QueryOptions find_options;
   find_options.chunks = options.chunks;
   find_options.convergence = options.convergence;
-  find_options.kernel = options.kernel;
   find_options.positions = true;
   find_options.begin_mode = options.begin_mode;
   find_options.max_history_bytes = options.max_history_bytes;

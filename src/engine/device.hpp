@@ -99,9 +99,9 @@ class Device {
                                 const QueryOptions& options) const = 0;
 
   /// Consumes the next window of a streamed input, updating `carry` in
-  /// place (empty windows are a no-op). Streaming always runs the chunk
-  /// kernels selected by `options.kernel`; lookback/tree_join are not
-  /// available in streaming mode (Engine::stream rejects them). With
+  /// place (empty windows are a no-op). Streaming runs the same chunk
+  /// walker as recognize; lookback/tree_join are not available in
+  /// streaming mode (Engine::stream rejects them). With
   /// `find` non-null the same feed advances carry.find over the searcher
   /// and emits the window's occurrences through find->sink (absolute byte
   /// offsets, begins resolved through the carried separator) — the find

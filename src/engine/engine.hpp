@@ -115,7 +115,7 @@ class Engine {
   /// count(t).matches, and Match semantics are documented in query.hpp).
   /// Runs the position-emitting parallel kernel over the same Σ*p searcher
   /// as count(): options.variant is not consulted; chunks, convergence,
-  /// kernel and offset/limit paging are honored, anything else raises
+  /// begin_mode and offset/limit paging are honored, anything else raises
   /// QueryError. Offsets in the returned Match records are byte offsets
   /// into `text`.
   QueryResult find(std::string_view text, const QueryOptions& options = {}) const;

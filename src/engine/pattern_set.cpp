@@ -14,11 +14,11 @@ namespace {
 
 constexpr const char* kPatternSetContext =
     "PatternSet::find (the position-emitting counting kernel per pattern; "
-    "it honors chunks, convergence, kernel, begin_mode and offset/limit)";
+    "it honors chunks, convergence, begin_mode and offset/limit)";
 
 constexpr const char* kMultiStreamContext =
     "PatternSet::stream_find (the multi-pattern window-fed kernel; it "
-    "honors chunks, convergence, kernel and begin_mode)";
+    "honors chunks, convergence and begin_mode)";
 
 /// Merges the N per-pattern scans of one text into one QueryResult:
 /// positions ascending by (end, begin, pattern_id) — unique, since each

@@ -26,7 +26,6 @@ void validate_query(const QueryOptions& options, const DeviceCaps& caps,
     throw ValidationError(context + " cannot honor '" + knob + "'");
   };
   if (options.convergence && !caps.convergence) reject("convergence");
-  if (options.kernel != DetKernel::kFused && !caps.kernel_select) reject("kernel");
   if (options.lookback > 0 && !caps.lookback) reject("lookback");
   if (options.tree_join && !caps.tree_join) reject("tree_join");
   if ((options.offset != 0 || options.limit != QueryOptions::kNoLimit) && !caps.paging)

@@ -7,7 +7,7 @@
 //    schemes plus the speculation-free SFA comparator [25]);
 //  * QueryOptions — the single knob struct, absorbing what used to be split
 //    between DeviceOptions (chunks, lookback, tree_join) and DetChunkOptions
-//    (convergence, kernel). A device that cannot honor a requested knob
+//    (convergence). A device that cannot honor a requested knob
 //    REJECTS the query with QueryError instead of silently ignoring it —
 //    capabilities() says up front what each device honors;
 //  * QueryResult — the unified structured result (decision, occurrence
@@ -45,13 +45,12 @@ const char* variant_name(Variant variant);
 /// What a device can honor. Anything requested beyond this set raises
 /// QueryError during validation — never a silent ignore.
 struct DeviceCaps {
-  bool convergence = false;    ///< run-convergence in the chunk kernels
-  bool kernel_select = false;  ///< fused/reference kernel choice
-  bool lookback = false;       ///< look-back start pruning (Sect. 5 / [28])
-  bool tree_join = false;      ///< parallel tree-reduction join
-  bool paging = false;         ///< offset/limit on the positions payload
-  bool positions = false;      ///< Match emission (find payloads, streaming find)
-  bool exact_begins = false;   ///< BeginMode::kExact (reverse-DFA confirmation)
+  bool convergence = false;   ///< run-convergence in the chunk walker
+  bool lookback = false;      ///< look-back start pruning (Sect. 5 / [28])
+  bool tree_join = false;     ///< parallel tree-reduction join
+  bool paging = false;        ///< offset/limit on the positions payload
+  bool positions = false;     ///< Match emission (find payloads, streaming find)
+  bool exact_begins = false;  ///< BeginMode::kExact (reverse-DFA confirmation)
 };
 
 /// What Match::begin means (find/find_all/streaming find only — other query
@@ -108,10 +107,8 @@ struct QueryOptions {
   /// Requested chunk count c; clamped to the input length. c <= 1 means
   /// serial execution (single chunk, no speculation).
   std::size_t chunks = 1;
-  /// Run-convergence optimization in the deterministic kernels (ablation).
+  /// Run-convergence optimization in the chunk walker (ablation).
   bool convergence = false;
-  /// Deterministic-kernel implementation (fused default; reference oracle).
-  DetKernel kernel = DetKernel::kFused;
   /// Look-back state speculation (paper Sect. 5, Yang & Prasanna [28]
   /// flavour), DFA device only: before the speculative runs of chunk i>=2,
   /// all starts are advanced over the `lookback` symbols preceding the

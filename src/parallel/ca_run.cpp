@@ -1,22 +1,16 @@
 #include "parallel/ca_run.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <unordered_map>
 
-#include "automata/packed_table.hpp"
-#include "automata/symbol_map.hpp"
-#include "util/simd_gather.hpp"
+#include "parallel/chunk_walker.hpp"
 
 namespace rispar {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Reference kernels — the seed implementations, kept verbatim as the oracle
-// for the fused kernels (property-tested equivalence) and as the baseline of
-// the A/B microbenchmarks. See the header for the accounting convention.
-// ---------------------------------------------------------------------------
+// The seed implementations (start-at-a-time independent runs; hash-map
+// convergence), kept verbatim as the oracle of the chunk walker. See the
+// header for the accounting convention.
 
 DetChunkResult reference_independent(const Dfa& dfa, std::span<const Symbol> chunk,
                                      std::span<const State> starts,
@@ -103,468 +97,42 @@ DetChunkResult reference_convergent(const Dfa& dfa, std::span<const Symbol> chun
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Fused kernels — one pass over the chunk for all starts, on the packed
-// width-specialized table. Symbol validity is checked once up front, so the
-// inner loops perform unchecked lookups.
-// ---------------------------------------------------------------------------
-
-constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
-
-// Symbols are validated in windows of this size immediately before the
-// unchecked inner loops consume them, so a chunk whose runs all die early
-// never pays for validating its tail.
-constexpr std::size_t kValidateBlock = 512;
-
-// Validates chunk[pos, min(pos + kValidateBlock, size)) and returns
-// {valid_end, block_end}: symbols in [pos, valid_end) are in range, and
-// valid_end < block_end means chunk[valid_end] is an alien symbol.
-std::pair<std::size_t, std::size_t> validated_prefix(std::span<const Symbol> chunk,
-                                                     std::size_t pos,
-                                                     std::int32_t num_symbols) {
-  const std::size_t block_end = std::min(pos + kValidateBlock, chunk.size());
-  const std::size_t valid_end =
-      pos + first_invalid_symbol(chunk.subspan(pos, block_end - pos), num_symbols);
-  return {valid_end, block_end};
-}
-
-// Scalar fast path for a single speculative start (chunk 1 of every device
-// and the serial ablations): run_packed_single, no SoA bookkeeping. Under
-// governance the chunk is consumed in kGovernorStride slices with a poll
-// between them — the ungoverned path keeps the one-call hot loop intact.
-template <typename T>
-DetChunkResult fused_single(const PackedTable& table, std::span<const Symbol> chunk,
-                            State start, const QueryGovernor* gov) {
-  DetChunkResult result;
-  if (gov == nullptr) {
-    const PackedRun run = run_packed_single<T>(table, start, chunk.data(), chunk.size());
-    result.transitions = run.consumed;
-    if (run.end != kDeadState) result.lambda.emplace_back(start, run.end);
-    return result;
-  }
-  State state = start;
-  std::size_t pos = 0;
-  while (pos < chunk.size()) {
-    gov->poll();
-    const std::size_t len = std::min(kGovernorStride, chunk.size() - pos);
-    const PackedRun run = run_packed_single<T>(table, state, chunk.data() + pos, len);
-    result.transitions += run.consumed;
-    if (run.end == kDeadState) return result;  // died; killing symbol uncounted
-    state = run.end;
-    pos += len;
-  }
-  result.lambda.emplace_back(start, state);
-  return result;
-}
-
-// Lockstep SoA kernel (independent-run semantics): every live run advances
-// one symbol per round; dead runs are compacted out so the per-symbol cost
-// is O(live). The chunk is streamed exactly once regardless of |starts|.
-template <typename T>
-DetChunkResult fused_lockstep(const PackedTable& table, std::span<const Symbol> chunk,
-                              std::span<const State> starts,
-                              const QueryGovernor* gov) {
-  if (starts.size() == 1) return fused_single<T>(table, chunk, starts[0], gov);
-
-  constexpr T kDead = PackedDead<T>::value;
-  const T* entries = table.data<T>();
-  const auto n = static_cast<std::size_t>(table.num_states());
-
-  DetChunkResult result;
-  std::vector<T> state(starts.size());
-  std::vector<std::uint32_t> origin(starts.size());  // index into starts
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    state[i] = static_cast<T>(starts[i]);
-    origin[i] = static_cast<std::uint32_t>(i);
-  }
-
-  std::size_t live = starts.size();
-  std::size_t pos = 0;
-  std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && live > 0) {
-    if (gov != nullptr && pos >= next_poll) {
-      gov->poll();
-      next_poll = pos + kGovernorStride;
-    }
-    if (live == 1) {
-      // Lone survivor: finish with the scalar loop (no SoA bookkeeping).
-      DetChunkResult tail = fused_single<T>(table, chunk.subspan(pos),
-                                            static_cast<State>(state[0]), gov);
-      result.transitions += tail.transitions;
-      if (!tail.lambda.empty())
-        result.lambda.emplace_back(starts[origin[0]], tail.lambda.front().second);
-      return result;
-    }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    for (; pos < valid_end && live > 1; ++pos) {
-      // Symbol-major layout: one column base per symbol, no per-run multiply.
-      const T* col = entries + static_cast<std::size_t>(chunk[pos]) * n;
-      std::size_t write = 0;
-      for (std::size_t i = 0; i < live; ++i) {
-        const T next = col[state[i]];
-        if (next == kDead) continue;
-        state[write] = next;
-        origin[write] = origin[i];
-        ++write;
-      }
-      result.transitions += write;  // one per run surviving this symbol
-      live = write;
-    }
-    if (live > 1 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
-  }
-
-  result.lambda.reserve(live);
-  // Compaction preserves relative order, so origin[] ascends = starts order.
-  for (std::size_t i = 0; i < live; ++i)
-    result.lambda.emplace_back(starts[origin[i]], static_cast<State>(state[i]));
-  return result;
-}
-
-// Epoch-stamped convergent kernel. Collision detection per symbol uses a
-// dense state→group stamp array (the epoch counter makes clearing free) and
-// group membership is a flat head/tail/next-pointer scheme over start
-// indices, so merging two groups is a constant-time splice — no hashing, no
-// allocation anywhere in the loop.
-template <typename T>
-DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol> chunk,
-                                std::span<const State> starts,
-                                const QueryGovernor* gov) {
-  constexpr T kDead = PackedDead<T>::value;
-  const T* entries = table.data<T>();
-  const auto num_states = static_cast<std::size_t>(table.num_states());
-
-  DetChunkResult result;
-  // Per-group SoA: current state, and the member list as [head, tail] into
-  // next_member (members are indices into `starts`).
-  std::vector<T> group_state(starts.size());
-  std::vector<std::uint32_t> head(starts.size());
-  std::vector<std::uint32_t> tail(starts.size());
-  std::vector<std::uint32_t> next_member(starts.size(), kNoMember);
-
-  // stamp[s] == epoch ⇔ state s already owns a group this round; group_at[s]
-  // is that group's index. Epochs start at 1 so the zero-filled array means
-  // "unseen"; 64-bit so one increment per symbol can never wrap.
-  std::vector<std::uint64_t> stamp(num_states, 0);
-  std::vector<std::uint32_t> group_at(num_states);
-  std::uint64_t epoch = 1;
-
-  std::size_t groups = 0;
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const auto s = static_cast<std::size_t>(starts[i]);
-    if (stamp[s] == epoch) {
-      const std::uint32_t g = group_at[s];
-      next_member[tail[g]] = static_cast<std::uint32_t>(i);
-      tail[g] = static_cast<std::uint32_t>(i);
-    } else {
-      stamp[s] = epoch;
-      group_at[s] = static_cast<std::uint32_t>(groups);
-      group_state[groups] = static_cast<T>(starts[i]);
-      head[groups] = tail[groups] = static_cast<std::uint32_t>(i);
-      ++groups;
-    }
-  }
-
-  std::size_t pos = 0;
-  std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && groups > 0) {
-    if (gov != nullptr && pos >= next_poll) {
-      gov->poll();
-      next_poll = pos + kGovernorStride;
-    }
-    if (groups == 1) {
-      // All runs converged: finish with the scalar loop and scatter the one
-      // end state over the group's members.
-      DetChunkResult tail = fused_single<T>(table, chunk.subspan(pos),
-                                            static_cast<State>(group_state[0]), gov);
-      result.transitions += tail.transitions;
-      if (tail.lambda.empty()) return result;  // the merged run died
-      const State end = tail.lambda.front().second;
-      result.distinct_ends.push_back(end);
-      std::vector<State> end_of(starts.size(), kDeadState);
-      for (std::uint32_t i = head[0]; i != kNoMember; i = next_member[i]) end_of[i] = end;
-      for (std::size_t i = 0; i < starts.size(); ++i)
-        if (end_of[i] != kDeadState) result.lambda.emplace_back(starts[i], end_of[i]);
-      return result;
-    }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    for (; pos < valid_end && groups > 1; ++pos) {
-      const T* col = entries + static_cast<std::size_t>(chunk[pos]) * num_states;
-      ++epoch;
-      std::size_t write = 0;
-      for (std::size_t g = 0; g < groups; ++g) {
-        const T next = col[group_state[g]];
-        if (next == kDead) continue;  // whole group dies (not counted)
-        ++result.transitions;         // one executed transition per live group
-        const auto ns = static_cast<std::size_t>(next);
-        if (stamp[ns] == epoch) {
-          // Collision: splice g's member list onto the owning group's tail.
-          const std::uint32_t dst = group_at[ns];
-          next_member[tail[dst]] = head[g];
-          tail[dst] = tail[g];
-        } else {
-          stamp[ns] = epoch;
-          group_at[ns] = static_cast<std::uint32_t>(write);
-          group_state[write] = next;  // write <= g: slot already consumed
-          head[write] = head[g];
-          tail[write] = tail[g];
-          ++write;
-        }
-      }
-      groups = write;
-    }
-    if (groups > 0 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
-  }
-
-  result.distinct_ends.reserve(groups);
-  // Emit λ in `starts` order: scatter each group's end over its members.
-  std::vector<State> end_of(starts.size(), kDeadState);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto end = static_cast<State>(group_state[g]);
-    result.distinct_ends.push_back(end);
-    for (std::uint32_t i = head[g]; i != kNoMember; i = next_member[i]) end_of[i] = end;
-  }
-  result.lambda.reserve(starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i)
-    if (end_of[i] != kDeadState) result.lambda.emplace_back(starts[i], end_of[i]);
-  return result;
-}
-
-template <typename T>
-DetChunkResult run_fused(const PackedTable& table, std::span<const Symbol> chunk,
-                         std::span<const State> starts, bool convergence,
-                         const QueryGovernor* gov) {
-  return convergence ? fused_convergent<T>(table, chunk, starts, gov)
-                     : fused_lockstep<T>(table, chunk, starts, gov);
-}
-
-// ---------------------------------------------------------------------------
-// SIMD kernels — the lockstep structure of the fused kernels, but every
-// symbol advances the whole live block through one vector gather
-// (util/simd_gather.hpp) instead of N dependent scalar column loads. States
-// live in an i32 SoA vector (the gather index type), dead runs are
-// compacted out after every symbol so the gather block stays dense, and the
-// scalar single-run tail is shared with the fused kernels — accounting and
-// λ emission are bit-identical across all three implementations.
-// ---------------------------------------------------------------------------
-
-// Lockstep gather kernel (independent-run semantics). Mirrors
-// fused_lockstep symbol for symbol; the whole inner loop over a validated
-// symbol window — column gathers, survivor tests, dead-run compaction,
-// transition accounting — is one backend call (simd::AdvanceSpanFn), so
-// per-symbol work never crosses the dispatch boundary.
-template <typename T>
-DetChunkResult simd_lockstep(const PackedTable& table, std::span<const Symbol> chunk,
-                             std::span<const State> starts,
-                             const QueryGovernor* gov) {
-  if (starts.size() == 1) return fused_single<T>(table, chunk, starts[0], gov);
-
-  const simd::AdvanceSpanFn advance = simd::advance_span_fn<T>(simd::gather_ops());
-  const T* entries = table.data<T>();
-  const auto n = static_cast<std::size_t>(table.num_states());
-
-  DetChunkResult result;
-  std::vector<std::int32_t> state(starts.size());
-  std::vector<std::uint32_t> origin(starts.size());  // index into starts
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    state[i] = starts[i];
-    origin[i] = static_cast<std::uint32_t>(i);
-  }
-
-  std::size_t live = starts.size();
-  std::size_t pos = 0;
-  std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && live > 0) {
-    if (gov != nullptr && pos >= next_poll) {
-      gov->poll();
-      next_poll = pos + kGovernorStride;
-    }
-    if (live == 1) {
-      // Lone survivor: finish with the scalar loop (no SoA bookkeeping).
-      DetChunkResult tail = fused_single<T>(table, chunk.subspan(pos),
-                                            static_cast<State>(state[0]), gov);
-      result.transitions += tail.transitions;
-      if (!tail.lambda.empty())
-        result.lambda.emplace_back(starts[origin[0]], tail.lambda.front().second);
-      return result;
-    }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    pos += advance(entries, n, chunk.data() + pos, valid_end - pos, state.data(),
-                   origin.data(), live, result.transitions);
-    if (live > 1 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
-  }
-
-  result.lambda.reserve(live);
-  // Compaction preserves relative order, so origin[] ascends = starts order.
-  for (std::size_t i = 0; i < live; ++i)
-    result.lambda.emplace_back(starts[origin[i]], static_cast<State>(state[i]));
-  return result;
-}
-
-// Gather-fed convergent kernel: the per-symbol advance of all live groups
-// is one vector gather IN PLACE over the group-state vector (the gather
-// contract allows out == idx); the epoch-stamped merge bookkeeping of
-// fused_convergent then runs over the advanced states. Group order, member
-// splice order and the emitted λ are identical to the fused kernel.
-template <typename T>
-DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol> chunk,
-                               std::span<const State> starts,
-                               const QueryGovernor* gov) {
-  constexpr std::int32_t kDeadWide = PackedWideDead<T>;
-  const simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
-  const T* entries = table.data<T>();
-  const auto num_states = static_cast<std::size_t>(table.num_states());
-
-  DetChunkResult result;
-  std::vector<std::int32_t> group_state(starts.size());
-  std::vector<std::uint32_t> head(starts.size());
-  std::vector<std::uint32_t> tail(starts.size());
-  std::vector<std::uint32_t> next_member(starts.size(), kNoMember);
-
-  std::vector<std::uint64_t> stamp(num_states, 0);
-  std::vector<std::uint32_t> group_at(num_states);
-  std::uint64_t epoch = 1;
-
-  std::size_t groups = 0;
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const auto s = static_cast<std::size_t>(starts[i]);
-    if (stamp[s] == epoch) {
-      const std::uint32_t g = group_at[s];
-      next_member[tail[g]] = static_cast<std::uint32_t>(i);
-      tail[g] = static_cast<std::uint32_t>(i);
-    } else {
-      stamp[s] = epoch;
-      group_at[s] = static_cast<std::uint32_t>(groups);
-      group_state[groups] = starts[i];
-      head[groups] = tail[groups] = static_cast<std::uint32_t>(i);
-      ++groups;
-    }
-  }
-
-  std::size_t pos = 0;
-  std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && groups > 0) {
-    if (gov != nullptr && pos >= next_poll) {
-      gov->poll();
-      next_poll = pos + kGovernorStride;
-    }
-    if (groups == 1) {
-      // All runs converged: finish with the scalar loop and scatter the one
-      // end state over the group's members.
-      DetChunkResult scalar_tail = fused_single<T>(
-          table, chunk.subspan(pos), static_cast<State>(group_state[0]), gov);
-      result.transitions += scalar_tail.transitions;
-      if (scalar_tail.lambda.empty()) return result;  // the merged run died
-      const State end = scalar_tail.lambda.front().second;
-      result.distinct_ends.push_back(end);
-      std::vector<State> end_of(starts.size(), kDeadState);
-      for (std::uint32_t i = head[0]; i != kNoMember; i = next_member[i]) end_of[i] = end;
-      for (std::size_t i = 0; i < starts.size(); ++i)
-        if (end_of[i] != kDeadState) result.lambda.emplace_back(starts[i], end_of[i]);
-      return result;
-    }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    for (; pos < valid_end && groups > 1; ++pos) {
-      const T* col = entries + static_cast<std::size_t>(chunk[pos]) * num_states;
-      gather(col, group_state.data(), groups, group_state.data());
-      ++epoch;
-      // The merge loop reads group_state[g] (the advanced value) before any
-      // write to slot g: write <= g throughout, and the write at g is the
-      // value itself.
-      std::size_t write = 0;
-      for (std::size_t g = 0; g < groups; ++g) {
-        const std::int32_t value = group_state[g];
-        if (value == kDeadWide) continue;  // whole group dies (not counted)
-        ++result.transitions;              // one executed transition per live group
-        const auto ns = static_cast<std::size_t>(value);
-        if (stamp[ns] == epoch) {
-          // Collision: splice g's member list onto the owning group's tail.
-          const std::uint32_t dst = group_at[ns];
-          next_member[tail[dst]] = head[g];
-          tail[dst] = tail[g];
-        } else {
-          stamp[ns] = epoch;
-          group_at[ns] = static_cast<std::uint32_t>(write);
-          group_state[write] = value;  // write <= g: slot already consumed
-          head[write] = head[g];
-          tail[write] = tail[g];
-          ++write;
-        }
-      }
-      groups = write;
-    }
-    if (groups > 0 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
-  }
-
-  result.distinct_ends.reserve(groups);
-  // Emit λ in `starts` order: scatter each group's end over its members.
-  std::vector<State> end_of(starts.size(), kDeadState);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const auto end = static_cast<State>(group_state[g]);
-    result.distinct_ends.push_back(end);
-    for (std::uint32_t i = head[g]; i != kNoMember; i = next_member[i]) end_of[i] = end;
-  }
-  result.lambda.reserve(starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i)
-    if (end_of[i] != kDeadState) result.lambda.emplace_back(starts[i], end_of[i]);
-  return result;
-}
-
-template <typename T>
-DetChunkResult run_simd(const PackedTable& table, std::span<const Symbol> chunk,
-                        std::span<const State> starts, bool convergence,
-                        const QueryGovernor* gov) {
-  return convergence ? simd_convergent<T>(table, chunk, starts, gov)
-                     : simd_lockstep<T>(table, chunk, starts, gov);
-}
-
 }  // namespace
-
-const char* kernel_name(DetKernel kernel) {
-  switch (kernel) {
-    case DetKernel::kFused: return "fused";
-    case DetKernel::kReference: return "reference";
-    case DetKernel::kSimd: return "simd";
-  }
-  return "?";
-}
 
 DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
                              std::span<const State> starts,
                              const DetChunkOptions& options) {
-  // Normalize so the kernels only test a single pointer: inactive
+  // Normalize so the walker only tests a single pointer: inactive
   // governors (no deadline, no token) cost nothing inside the loops.
   const QueryGovernor* gov =
       options.governor != nullptr && options.governor->active() ? options.governor
                                                                 : nullptr;
-  if (options.kernel == DetKernel::kReference) {
-    return options.convergence ? reference_convergent(dfa, chunk, starts, gov)
-                               : reference_independent(dfa, chunk, starts, gov);
+  NoRecord none;
+  WalkForest forest = walk_chunk(dfa, chunk, starts, options.convergence, none, gov);
+  DetChunkResult result;
+  result.transitions = forest.transitions;
+  result.lambda.reserve(starts.size());
+  // Emit λ in `starts` order. A merged start takes its parent's end, which
+  // ascending order has already resolved to the root's; the surviving
+  // roots, in node order, are the convergent groups' distinct ends.
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    State& end = forest.end[i];
+    if (forest.parent[i] >= 0)
+      end = forest.end[static_cast<std::size_t>(forest.parent[i])];
+    else if (options.convergence && end != kDeadState)
+      result.distinct_ends.push_back(end);
+    if (end != kDeadState) result.lambda.emplace_back(starts[i], end);
   }
-  const PackedTable& table = dfa.packed();
-  if (options.kernel == DetKernel::kSimd) {
-    switch (table.width()) {
-      case TableWidth::kU8:
-        return run_simd<std::uint8_t>(table, chunk, starts, options.convergence, gov);
-      case TableWidth::kU16:
-        return run_simd<std::uint16_t>(table, chunk, starts, options.convergence, gov);
-      case TableWidth::kI32:
-        break;
-    }
-    return run_simd<std::int32_t>(table, chunk, starts, options.convergence, gov);
-  }
-  switch (table.width()) {
-    case TableWidth::kU8:
-      return run_fused<std::uint8_t>(table, chunk, starts, options.convergence, gov);
-    case TableWidth::kU16:
-      return run_fused<std::uint16_t>(table, chunk, starts, options.convergence, gov);
-    case TableWidth::kI32:
-      break;
-  }
-  return run_fused<std::int32_t>(table, chunk, starts, options.convergence, gov);
+  return result;
+}
+
+DetChunkResult run_chunk_det_reference(const Dfa& dfa, std::span<const Symbol> chunk,
+                                       std::span<const State> starts,
+                                       const DetChunkOptions& options) {
+  // GovPoll normalizes the governor itself.
+  const QueryGovernor* gov = options.governor;
+  return options.convergence ? reference_convergent(dfa, chunk, starts, gov)
+                             : reference_independent(dfa, chunk, starts, gov);
 }
 
 NfaChunkResult run_chunk_nfa(const Nfa& nfa, std::span<const Symbol> chunk,

@@ -25,32 +25,17 @@
 //  * look-back probe runs (csdpa.cpp) are real speculative work and are
 //    added to the chunk's count.
 //
-// ## Kernel implementations
+// ## One walker
 //
-// The deterministic kernels exist in three implementations, selected by
-// DetChunkOptions::kernel and proven equivalent by property tests:
-//
-//  * kFused (default) — single pass over the chunk for ALL starts.
-//    Non-convergent mode runs lockstep over a compacted SoA state array
-//    (one symbol load, N table lookups with the hot rows shared in cache);
-//    convergent mode replaces the per-symbol hash probes of the seed with
-//    an epoch-stamped dense state→group array and splices member lists
-//    through a flat next-pointer scheme, so group merging never allocates.
-//    Both run on the width-specialized packed table (automata/
-//    packed_table.hpp) and validate the chunk's symbols once up front
-//    (first_invalid_symbol) instead of per step.
-//  * kSimd — the same lockstep structure, but each symbol advances the
-//    whole live block through ONE vector gather over the packed column
-//    (util/simd_gather.hpp: AVX2 vpgatherdd with i32-widened indices for
-//    the u8/u16 widths, or the portable unrolled fallback — picked once at
-//    runtime by util/cpuid.hpp, so kSimd runs everywhere and never
-//    rejects). Dead runs are compacted out of the index vector after every
-//    symbol so the gather block stays dense; convergent mode gathers the
-//    group states and reuses the epoch-stamped merge bookkeeping on the
-//    gathered buffer. Results are bit-identical to kFused/kReference.
-//  * kReference — the seed implementations (start-at-a-time independent
-//    runs; unordered_map convergence), kept as the oracle for the property
-//    tests and for A/B benchmarks.
+// run_chunk_det is the chunk walker (parallel/chunk_walker.hpp) with a
+// passive recorder — the same template body that counting and finding run
+// with their hit recorders. It advances all starts in lockstep over the
+// width-packed symbol-major table and picks its step from the live count:
+// the vector gather from 8 live runs (or convergent groups) on, the scalar
+// column loop below that, a lone-run loop for the last survivor. There is
+// no implementation knob; every step is bit-identical to the seed
+// implementations kept as run_chunk_det_reference, the property-test
+// oracle.
 //
 // Run convergence itself (merging runs that land in the same state at the
 // same position — the Mytkowicz-style optimization the paper lists as
@@ -73,7 +58,7 @@ struct DetChunkResult {
   /// (start, end) pairs of surviving runs, in `starts` order.
   std::vector<std::pair<State, State>> lambda;
   /// Distinct end states of the surviving runs, in group-creation order —
-  /// populated by the CONVERGENT kernels only (where the surviving groups
+  /// populated under convergence only (where the surviving groups
   /// carry exactly this set for free). Consumers that need the deduplicated
   /// λ image (e.g. the look-back path of DfaDevice) read it directly
   /// instead of re-sorting lambda.
@@ -81,31 +66,28 @@ struct DetChunkResult {
   std::uint64_t transitions = 0;
 };
 
-enum class DetKernel : std::uint8_t {
-  kFused,      ///< lockstep SoA / epoch-stamped convergence on packed tables
-  kReference,  ///< seed implementations (test oracle, A/B baseline)
-  kSimd,       ///< vector-gather lockstep (AVX2 or portable, runtime-picked)
-};
-
-/// "fused" / "reference" / "simd" — CLI values and bench labels.
-const char* kernel_name(DetKernel kernel);
-
 struct DetChunkOptions {
   bool convergence = false;
-  DetKernel kernel = DetKernel::kFused;
   /// Cooperative governance checkpoints (deadline/cancellation): polled
-  /// roughly every kGovernorStride consumed symbols inside every kernel
-  /// implementation. Null or inactive = zero per-symbol cost (the kernels
-  /// normalize to nullptr up front). The pointer must outlive the call; it
-  /// is shared read-only across the pool's chunk tasks.
+  /// roughly every kGovernorStride consumed symbols. Null or inactive =
+  /// zero per-symbol cost (normalized to nullptr up front). The pointer
+  /// must outlive the call; it is shared read-only across the pool's chunk
+  /// tasks.
   const QueryGovernor* governor = nullptr;
 };
 
 /// Advances every state in `starts` over `chunk`. See the header comment
-/// for accounting and implementation selection.
+/// for the accounting convention.
 DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
                              std::span<const State> starts,
                              const DetChunkOptions& options = {});
+
+/// The seed implementations (start-at-a-time independent runs; hash-map
+/// convergence): the oracle run_chunk_det is tested against, result for
+/// result and transition for transition. Not a serving path.
+DetChunkResult run_chunk_det_reference(const Dfa& dfa, std::span<const Symbol> chunk,
+                                       std::span<const State> starts,
+                                       const DetChunkOptions& options = {});
 
 struct NfaChunkResult {
   /// Per start (in `starts` order): the frontier set δ(start, chunk); an

@@ -1,0 +1,290 @@
+// The one chunk walker: the speculative multi-start reach behind recognize
+// (run_chunk_det), count (count_matches) and find (find_matches,
+// stream_find_feed).
+//
+// A walk advances every start of `starts` over one chunk in lockstep on the
+// width-packed, symbol-major table (automata/packed_table.hpp) — the chunk
+// is streamed once however many starts there are, and dead runs are
+// compacted out so each symbol costs O(live). Three template parameters
+// shape it:
+//
+//  * the table width T (u8 / u16 / i32 entries), picked from the table;
+//  * kConvergent — runs that land in the same state at the same position
+//    merge (the Mytkowicz-style optimization the paper lists as compatible,
+//    Sect. 5): the later run records its parent and stops executing, so the
+//    merged runs count as ONE live run from the merge point on;
+//  * a Recorder — what a live run remembers per step: nothing for the
+//    recognize λ (NoRecord), a hit counter for count, hits plus the last
+//    separator for find (match_count.cpp). Recorders see step(node, next,
+//    pos) for every executed transition and merge(node, into, pos) for
+//    every convergence merge.
+//
+// The advance step is chosen from the live count, per validated block of
+// kValidateBlock symbols and again whenever the count crosses a band
+// mid-block (live runs only ever die or merge, so a walk moves down the
+// bands, never up):
+//
+//  * kGatherLanes (8) or more live runs or groups — one vector gather per
+//    symbol over the whole live block (util/simd_gather.hpp: AVX2 or the
+//    portable unrolled loop, picked once per process). A passive recorder
+//    under independent runs hands the whole block to the backend's span
+//    loop; otherwise the gathered states feed the same bookkeeping loop as
+//    the scalar step;
+//  * 2..7 — the scalar column loop: one column base per symbol, one
+//    dependent table load per live run;
+//  * 1 — the lone-run loop, with no compaction bookkeeping at all; it
+//    checks each symbol inline instead of validating blocks and runs to
+//    the chunk end (or the next governance poll).
+//
+// All three steps produce bit-identical forests, recorder contents and
+// transition counts (tests/test_ca_run.cpp checks every band against
+// run_chunk_det_reference). The many-run steps validate each block right
+// before their unchecked loops consume it; an out-of-alphabet symbol kills
+// every live run without being counted (the accounting convention of
+// parallel/ca_run.hpp). Governance polls between steps once the consumed
+// symbols reach kGovernorStride.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "automata/dfa.hpp"
+#include "automata/packed_table.hpp"
+#include "automata/symbol_map.hpp"
+#include "util/governance.hpp"
+#include "util/simd_gather.hpp"
+
+namespace rispar {
+
+/// Symbols are validated in windows of this size immediately before the
+/// unchecked inner loops consume them, so a chunk whose runs all die early
+/// never pays for validating its tail.
+inline constexpr std::size_t kValidateBlock = 512;
+
+/// A gather block is 8 lanes wide: from this many live runs on, the walker
+/// advances them with the vector gather.
+inline constexpr std::size_t kGatherLanes = 8;
+
+/// The merge forest of one walk, indexed like `starts` (node i = starts[i]).
+/// Merged nodes always point at an EARLIER node (the live list stays in
+/// node order and the first run to reach a state claims it), so resolving
+/// a node's root in ascending node order needs no recursion.
+struct WalkForest {
+  /// The node this run merged into (convergence only), -1 for a run that
+  /// led its own group to its death or to the chunk end.
+  std::vector<std::int32_t> parent;
+  /// For a root: its end state, kDeadState when it died. Unused for merged
+  /// nodes — their end is their root's.
+  std::vector<State> end;
+  std::uint64_t transitions = 0;
+};
+
+/// The recognize λ recorder: a run remembers nothing but its state.
+struct NoRecord {
+  static constexpr bool kPassive = true;
+  void step(std::uint32_t, std::int32_t, std::int64_t) {}
+  void merge(std::uint32_t, std::uint32_t, std::int64_t) {}
+};
+
+namespace walker_detail {
+
+// {valid_end, block_end}: chunk[pos, valid_end) is in range, and
+// valid_end < block_end means chunk[valid_end] is an alien symbol.
+inline std::pair<std::size_t, std::size_t> validated_block(std::span<const Symbol> chunk,
+                                                           std::size_t pos,
+                                                           std::int32_t num_symbols) {
+  const std::size_t block_end = std::min(pos + kValidateBlock, chunk.size());
+  const std::size_t valid_end =
+      pos + first_invalid_symbol(chunk.subspan(pos, block_end - pos), num_symbols);
+  return {valid_end, block_end};
+}
+
+template <bool kConvergent, typename T, typename Recorder>
+WalkForest walk(const PackedTable& table, std::span<const Symbol> chunk,
+                std::span<const State> starts, Recorder& record,
+                const QueryGovernor* gov) {
+  constexpr std::int32_t kDead = PackedWideDead<T>;
+  const T* entries = table.data<T>();
+  const auto n = static_cast<std::size_t>(table.num_states());
+  const auto limit = static_cast<std::uint32_t>(table.num_symbols());
+  const auto column = [&](std::size_t at) {
+    return entries + static_cast<std::size_t>(chunk[at]) * n;
+  };
+
+  WalkForest forest;
+  forest.parent.assign(starts.size(), -1);
+  forest.end.assign(starts.size(), kDeadState);
+
+  // The live list: i32 states (the gather index type) with their node ids,
+  // kept in ascending node order by order-preserving compaction.
+  std::vector<std::int32_t> state(starts.size());
+  std::vector<std::uint32_t> node(starts.size());
+  // Convergence: stamp[s] == epoch ⇔ state s was claimed this round, by
+  // node owner[s]. 64-bit epochs never wrap; 0-filled stamps mean unseen.
+  std::vector<std::uint64_t> stamp;
+  std::vector<std::uint32_t> owner;
+  std::uint64_t epoch = 1;
+  if constexpr (kConvergent) {
+    stamp.assign(n, 0);
+    owner.resize(n);
+  }
+  const auto merge = [&](std::uint32_t id, std::uint32_t into, std::int64_t at) {
+    forest.parent[id] = static_cast<std::int32_t>(into);
+    record.merge(id, into, at);
+  };
+
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const auto id = static_cast<std::uint32_t>(i);
+    if constexpr (kConvergent) {
+      // Duplicate starts merge before the first symbol.
+      const auto s = static_cast<std::size_t>(starts[i]);
+      if (stamp[s] == epoch) {
+        merge(id, owner[s], 0);
+        continue;
+      }
+      stamp[s] = epoch;
+      owner[s] = id;
+    }
+    state[live] = starts[i];
+    node[live] = id;
+    ++live;
+  }
+
+  // One symbol's bookkeeping over the live list, `next_of(i)` giving slot
+  // i's advanced state; `at` is the 1-based position after the symbol.
+  // Reads slot i before compaction writes slot `write` <= i.
+  std::uint64_t transitions = 0;
+  const auto settle = [&](auto next_of, std::int64_t at) {
+    if constexpr (kConvergent) ++epoch;
+    std::size_t write = 0;
+    std::size_t survived = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+      const std::int32_t next = next_of(i);
+      if (next == kDead) continue;  // the run dies; the symbol is not counted
+      const std::uint32_t id = node[i];
+      record.step(id, next, at);
+      if constexpr (kConvergent) {
+        ++survived;  // one executed transition per surviving group
+        const auto s = static_cast<std::size_t>(next);
+        if (stamp[s] == epoch) {
+          // The claiming run was advanced earlier this round, so its record
+          // already holds this position's step; sharing starts after it.
+          merge(id, owner[s], at);
+          continue;
+        }
+        stamp[s] = epoch;
+        owner[s] = id;
+      }
+      state[write] = next;
+      node[write] = id;
+      ++write;
+    }
+    transitions += kConvergent ? survived : write;
+    live = write;
+  };
+
+  const simd::GatherOps& ops = simd::gather_ops();
+  std::size_t pos = 0;
+  std::size_t next_poll = kGovernorStride;
+  while (pos < chunk.size() && live > 0) {
+    if (gov != nullptr && pos >= next_poll) {
+      gov->poll();
+      next_poll = pos + kGovernorStride;
+    }
+    if (live == 1) {
+      // The lone run checks each symbol inline — one predictable compare
+      // off the dependent load chain, cheaper than a validation pass — and
+      // keeps its state zero-extended so the chain carries no sign
+      // extension. It runs to the chunk end or the next poll.
+      const std::size_t stop = gov != nullptr ? std::min(chunk.size(), next_poll)
+                                              : chunk.size();
+      std::size_t s = static_cast<std::uint32_t>(state[0]);
+      const std::uint32_t id = node[0];
+      const std::size_t from = pos;
+      for (; pos < stop; ++pos) {
+        const auto symbol = static_cast<std::uint32_t>(chunk[pos]);
+        if (symbol >= limit) {
+          live = 0;  // alien symbol: the run dies uncounted
+          break;
+        }
+        const T next = entries[symbol * n + s];
+        if (next == PackedDead<T>::value) {
+          live = 0;
+          break;
+        }
+        s = static_cast<std::make_unsigned_t<T>>(next);
+        record.step(id, static_cast<std::int32_t>(s), static_cast<std::int64_t>(pos + 1));
+      }
+      transitions += pos - from;
+      state[0] = static_cast<std::int32_t>(s);
+      continue;
+    }
+    const auto [valid_end, block_end] = validated_block(chunk, pos, table.num_symbols());
+    if (live >= kGatherLanes) {
+      if constexpr (!kConvergent && Recorder::kPassive) {
+        pos += simd::advance_span_fn<T>(ops)(entries, n, chunk.data() + pos,
+                                             valid_end - pos, state.data(), node.data(),
+                                             live, transitions, kGatherLanes);
+      } else {
+        const simd::GatherFn gather = simd::gather_fn<T>(ops);
+        for (; pos < valid_end && live >= kGatherLanes; ++pos) {
+          gather(column(pos), state.data(), live, state.data());
+          settle([&](std::size_t i) { return state[i]; },
+                 static_cast<std::int64_t>(pos + 1));
+        }
+      }
+    } else {
+      for (; pos < valid_end && live > 1; ++pos) {
+        const T* col = column(pos);
+        settle([&](std::size_t i) { return static_cast<std::int32_t>(col[state[i]]); },
+               static_cast<std::int64_t>(pos + 1));
+      }
+    }
+    if (live > 0 && pos == valid_end && valid_end < block_end)
+      live = 0;  // alien symbol at pos: every run dies uncounted
+  }
+
+  for (std::size_t i = 0; i < live; ++i)
+    forest.end[node[i]] = static_cast<State>(state[i]);
+  forest.transitions = transitions;
+  return forest;
+}
+
+template <typename T, typename Recorder>
+WalkForest walk_width(const PackedTable& table, std::span<const Symbol> chunk,
+                      std::span<const State> starts, bool convergence, Recorder& record,
+                      const QueryGovernor* gov) {
+  return convergence ? walk<true, T>(table, chunk, starts, record, gov)
+                     : walk<false, T>(table, chunk, starts, record, gov);
+}
+
+}  // namespace walker_detail
+
+/// Walks `chunk` from every state of `starts` (valid state ids of `dfa`),
+/// reporting each executed step to `record`. `gov` must be normalized
+/// (nullptr when inactive).
+template <typename Recorder>
+WalkForest walk_chunk(const Dfa& dfa, std::span<const Symbol> chunk,
+                      std::span<const State> starts, bool convergence, Recorder& record,
+                      const QueryGovernor* gov) {
+  const PackedTable& table = dfa.packed();
+  switch (table.width()) {
+    case TableWidth::kU8:
+      return walker_detail::walk_width<std::uint8_t>(table, chunk, starts, convergence,
+                                                     record, gov);
+    case TableWidth::kU16:
+      return walker_detail::walk_width<std::uint16_t>(table, chunk, starts, convergence,
+                                                      record, gov);
+    case TableWidth::kI32:
+      break;
+  }
+  return walker_detail::walk_width<std::int32_t>(table, chunk, starts, convergence,
+                                                 record, gov);
+}
+
+}  // namespace rispar

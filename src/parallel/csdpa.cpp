@@ -16,11 +16,8 @@ QueryResult empty_input_result(bool initial_is_final) {
   return stats;
 }
 
-DetChunkOptions kernel_options(const QueryOptions& options,
-                               const QueryGovernor* governor) {
-  return DetChunkOptions{.convergence = options.convergence,
-                         .kernel = options.kernel,
-                         .governor = governor};
+DetChunkOptions walk_options(const QueryOptions& options, const QueryGovernor* governor) {
+  return DetChunkOptions{.convergence = options.convergence, .governor = governor};
 }
 
 // Per-query governor shared by every chunk task of a recognize() call.
@@ -107,7 +104,7 @@ QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   const std::vector<State> first_start{dfa_.initial()};
   const QueryGovernor own(options.deadline, options.cancel);
   const QueryGovernor* gov = normalize(own);
-  const DetChunkOptions run_options = kernel_options(options, gov);
+  const DetChunkOptions run_options = walk_options(options, gov);
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
@@ -129,8 +126,7 @@ QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
     const auto window = input.subspan(chunks[i].begin - window_len, window_len);
     const DetChunkResult probe = run_chunk_det(
         dfa_, window, all_states_,
-        DetChunkOptions{.convergence = true, .kernel = options.kernel,
-                        .governor = gov});
+        DetChunkOptions{.convergence = true, .governor = gov});
     results[i] = run_chunk_det(dfa_, span, probe.distinct_ends, run_options);
     // The probe work is real speculative overhead; account for it
     // (accounting convention: parallel/ca_run.hpp).
@@ -200,7 +196,7 @@ void DfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window
 
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{dfa_.initial()} : carry.states;
-  const DetChunkOptions run_options = kernel_options(options, governor);
+  const DetChunkOptions run_options = walk_options(options, governor);
   const auto results = run_window_chunks<DetChunkResult>(
       window, pool, options.chunks, continuation, all_states_, governor,
       [&](std::span<const Symbol> span, std::span<const State> starts, bool) {
@@ -320,7 +316,7 @@ QueryResult RidDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   const std::vector<State> first_start{ridfa_.start_state()};
   const QueryGovernor own(options.deadline, options.cancel);
   const QueryGovernor* gov = normalize(own);
-  const DetChunkOptions run_options = kernel_options(options, gov);
+  const DetChunkOptions run_options = walk_options(options, gov);
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
@@ -378,7 +374,7 @@ void RidDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{ridfa_.start_state()}
                      : ridfa_.interface_image(carry.states);
-  const DetChunkOptions run_options = kernel_options(options, governor);
+  const DetChunkOptions run_options = walk_options(options, governor);
   const auto results = run_window_chunks<DetChunkResult>(
       window, pool, options.chunks, continuation, ridfa_.initial_states(), governor,
       [&](std::span<const Symbol> span, std::span<const State> starts, bool) {

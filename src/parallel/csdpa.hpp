@@ -46,8 +46,7 @@ class DfaDevice : public Device {
 
   Variant variant() const override { return Variant::kDfa; }
   DeviceCaps capabilities() const override {
-    return {.convergence = true, .kernel_select = true, .lookback = true,
-            .tree_join = true};
+    return {.convergence = true, .lookback = true, .tree_join = true};
   }
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
@@ -92,7 +91,7 @@ class RidDevice : public Device {
 
   Variant variant() const override { return Variant::kRid; }
   DeviceCaps capabilities() const override {
-    return {.convergence = true, .kernel_select = true};
+    return {.convergence = true};
   }
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,

@@ -1,7 +1,7 @@
 #include "parallel/match_count.hpp"
 
+#include "parallel/chunk_walker.hpp"
 #include "parallel/chunking.hpp"
-#include "util/simd_gather.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rispar {
@@ -31,126 +31,40 @@ QueryResult count_matches_serial(const Dfa& dfa, std::span<const Symbol> input) 
 
 namespace {
 
-/// One chunk's counting runs: per start (chunk 1 has a single start, the
-/// initial state; later chunks one per DFA state, indexed by state id), the
-/// end state of the run (kDeadState if it died) and its total hits.
-struct CountChunk {
-  std::vector<State> end;
+// Per-state flags the hit recorders test after every step.
+constexpr std::uint8_t kHitFlag = 1;        // a final state: an occurrence ends here
+constexpr std::uint8_t kSeparatorFlag = 2;  // the initial state: no partial occurrence
+
+std::vector<std::uint8_t> state_flags(const Dfa& dfa) {
+  std::vector<std::uint8_t> flags(static_cast<std::size_t>(dfa.num_states()), 0);
+  for (State s = 0; s < dfa.num_states(); ++s)
+    flags[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(
+        (dfa.is_final(s) ? kHitFlag : 0) | (s == dfa.initial() ? kSeparatorFlag : 0));
+  return flags;
+}
+
+/// The counting recorder: each run's own hits, and for a merged run the
+/// parent's hit count at the merge — everything the parent's chain accrues
+/// after it is shared, so a start's total is its own hits plus, up its
+/// chain, each ancestor's hits minus the base its child merged at.
+struct CountRecord {
+  static constexpr bool kPassive = false;
+  const std::uint8_t* flags = nullptr;
   std::vector<std::uint64_t> hits;
-  std::uint64_t transitions = 0;
+  std::vector<std::uint64_t> base;
+
+  void reset(const std::uint8_t* state_flags, std::span<const State> starts) {
+    flags = state_flags;
+    hits.assign(starts.size(), 0);
+    base.assign(starts.size(), 0);
+  }
+  void step(std::uint32_t node, std::int32_t next, std::int64_t) {
+    hits[node] += flags[next] & kHitFlag;
+  }
+  void merge(std::uint32_t node, std::uint32_t into, std::int64_t) {
+    base[node] = hits[into];
+  }
 };
-
-/// The seed implementation: every start runs independently.
-CountChunk count_chunk_independent(const Dfa& dfa, std::span<const Symbol> span,
-                                   std::span<const State> starts,
-                                   const QueryGovernor* gov) {
-  CountChunk chunk;
-  chunk.end.resize(starts.size());
-  chunk.hits.assign(starts.size(), 0);
-  GovPoll poll(gov);
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    State state = starts[s];
-    for (const Symbol symbol : span) {
-      poll.step();
-      if (symbol < 0 || symbol >= dfa.num_symbols()) {
-        state = kDeadState;
-        break;
-      }
-      state = dfa.row(state)[symbol];
-      if (state == kDeadState) break;
-      ++chunk.transitions;
-      if (dfa.is_final(state)) ++chunk.hits[s];
-    }
-    chunk.end[s] = state;
-  }
-  return chunk;
-}
-
-/// Run-convergence counting: runs that land in the same state at the same
-/// position share all future hits, so the merged run executes (and counts
-/// transitions) once from the merge point on. Each merged run freezes its
-/// own hit counter and remembers (parent, parent's hits at merge); the
-/// per-start totals are reconstructed through that merge tree at the end —
-/// total(r) = local(r) + (total(parent) - parent_base(r)), because
-/// everything the parent chain accrues after the merge is shared.
-CountChunk count_chunk_convergent(const Dfa& dfa, std::span<const Symbol> span,
-                                  std::span<const State> starts,
-                                  const QueryGovernor* gov) {
-  struct Node {
-    State state;
-    std::uint64_t hits = 0;
-    std::int32_t parent = -1;
-    std::uint64_t parent_base = 0;
-    bool dead = false;
-  };
-  CountChunk chunk;
-  std::vector<Node> nodes(starts.size());
-  std::vector<std::int32_t> active;
-  active.reserve(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    nodes[s].state = starts[s];  // starts are distinct states — no merges yet
-    active.push_back(static_cast<std::int32_t>(s));
-  }
-
-  std::vector<std::int32_t> owner(static_cast<std::size_t>(dfa.num_states()), -1);
-  std::vector<State> touched;
-  GovPoll poll(gov);
-  for (const Symbol symbol : span) {
-    poll.step();
-    if (active.empty()) break;
-    if (symbol < 0 || symbol >= dfa.num_symbols()) {
-      // Alien symbol: every run dies without the symbol being counted.
-      for (const std::int32_t idx : active)
-        nodes[static_cast<std::size_t>(idx)].dead = true;
-      active.clear();
-      break;
-    }
-    touched.clear();
-    std::size_t write = 0;
-    for (const std::int32_t idx : active) {
-      Node& node = nodes[static_cast<std::size_t>(idx)];
-      const State next = dfa.row(node.state)[symbol];
-      if (next == kDeadState) {
-        node.dead = true;  // the dying symbol is not counted
-        continue;
-      }
-      ++chunk.transitions;
-      node.state = next;
-      if (dfa.is_final(next)) ++node.hits;
-      std::int32_t& claim = owner[static_cast<std::size_t>(next)];
-      if (claim == -1) {
-        claim = idx;
-        touched.push_back(next);
-        active[write++] = idx;
-      } else {
-        // Merge: idx's run is identical to claim's from here on.
-        node.parent = claim;
-        node.parent_base = nodes[static_cast<std::size_t>(claim)].hits;
-      }
-    }
-    active.resize(write);
-    for (const State s : touched) owner[static_cast<std::size_t>(s)] = -1;
-  }
-
-  chunk.end.resize(starts.size());
-  chunk.hits.resize(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    std::size_t root = s;
-    while (nodes[root].parent != -1) root = static_cast<std::size_t>(nodes[root].parent);
-    chunk.end[s] = nodes[root].dead ? kDeadState : nodes[root].state;
-    std::uint64_t total = nodes[s].hits;
-    std::int32_t parent = nodes[s].parent;
-    std::uint64_t base = nodes[s].parent_base;
-    while (parent != -1) {
-      const Node& up = nodes[static_cast<std::size_t>(parent)];
-      total += up.hits - base;
-      base = up.parent_base;
-      parent = up.parent;
-    }
-    chunk.hits[s] = total;
-  }
-  return chunk;
-}
 
 /// One recorded occurrence of a chunk run: `pos` is the chunk-local end
 /// position (1-based: after consuming `pos` symbols) and `sep` the run's
@@ -162,354 +76,136 @@ struct FindHit {
   std::int64_t sep;
 };
 
-/// One chunk run of the finding kernels. While a run leads (no parent) it
-/// records its own hits and separator tracker; when convergence merges it
-/// into `parent` at `merge_pos`, everything from the parent's hit list at
-/// index >= parent_base on is shared, with `last_sep` frozen as the run's
-/// own history up to the merge. Reconstruction happens at JOIN time, only
-/// for the one consistent start per chunk — per-start hit lists are never
+/// The finding recorder. While a run leads it records its own hits and
+/// separator tracker; when convergence merges it into a parent at
+/// `merge_pos`, everything from the parent's hit list at index >=
+/// parent_base on is shared, with `last_sep` frozen as the run's own
+/// history up to the merge. Reconstruction happens at JOIN time, only for
+/// the one consistent start per chunk — per-start hit lists are never
 /// materialized.
-struct FindNode {
-  State state = kDeadState;
-  std::vector<FindHit> hits;
-  std::int64_t last_sep = -1;
-  std::int32_t parent = -1;
-  std::size_t parent_base = 0;
-  std::int64_t merge_pos = 0;
-  bool dead = false;
-};
+struct FindRecord {
+  static constexpr bool kPassive = false;
+  const std::uint8_t* flags = nullptr;
+  std::vector<std::vector<FindHit>> hits;
+  std::vector<std::int64_t> last_sep;
+  std::vector<std::size_t> parent_base;
+  std::vector<std::int64_t> merge_pos;
 
-struct FindChunk {
-  std::vector<FindNode> nodes;  ///< one per start, in `starts` order
-  std::uint64_t transitions = 0;
-};
-
-/// Step policy of the reference finding kernel: plain row-table lookups
-/// with the per-symbol range check, the oracle-side implementation.
-struct RowStep {
-  const Dfa& dfa;
-  Symbol symbol = 0;
-
-  bool prepare(Symbol a) {
-    symbol = a;
-    return a >= 0 && a < dfa.num_symbols();
+  void reset(const std::uint8_t* state_flags, std::span<const State> starts) {
+    flags = state_flags;
+    hits.assign(starts.size(), {});
+    last_sep.resize(starts.size());
+    for (std::size_t i = 0; i < starts.size(); ++i)
+      last_sep[i] = (flags[starts[i]] & kSeparatorFlag) != 0 ? 0 : -1;
+    parent_base.assign(starts.size(), 0);
+    merge_pos.assign(starts.size(), 0);
   }
-  State advance(State state) const { return dfa.row(state)[symbol]; }
-};
-
-/// Step policy of the fused finding kernel: the width-packed symbol-major
-/// table, one column base per symbol hoisted out of the per-run loop
-/// (same mechanism as the lockstep kernels in ca_run.cpp).
-template <typename T>
-struct PackedStep {
-  const PackedTable& table;
-  const T* column = nullptr;
-
-  bool prepare(Symbol a) {
-    if (static_cast<std::uint32_t>(a) >=
-        static_cast<std::uint32_t>(table.num_symbols()))
-      return false;
-    column = table.column<T>(a);
-    return true;
+  void step(std::uint32_t node, std::int32_t next, std::int64_t pos) {
+    const std::uint8_t flag = flags[next];
+    if ((flag & kSeparatorFlag) != 0) last_sep[node] = pos;
+    if ((flag & kHitFlag) != 0)
+      hits[node].push_back({static_cast<std::uint64_t>(pos), last_sep[node]});
   }
-  State advance(State state) const {
-    const T next = column[static_cast<std::size_t>(state)];
-    return next == PackedDead<T>::value ? kDeadState : static_cast<State>(next);
+  void merge(std::uint32_t node, std::uint32_t into, std::int64_t pos) {
+    parent_base[node] = hits[into].size();
+    merge_pos[node] = pos;
   }
 };
 
-/// The one finding kernel: lockstep over the live runs (dead runs compacted
-/// out), recording (end, last-separator) per hit. With kConvergent, runs
-/// landing in the same state at the same position merge exactly like the
-/// counting kernel — but instead of reconstructing per-start totals here,
-/// the merge forest itself is returned and the join resolves only the
-/// consistent start's chain.
-template <bool kConvergent, typename Step>
-FindChunk find_chunk(const Dfa& dfa, std::span<const Symbol> span,
-                     std::span<const State> starts, Step step,
-                     const QueryGovernor* gov) {
-  const State initial = dfa.initial();
-  FindChunk chunk;
-  chunk.nodes.resize(starts.size());
-  std::vector<std::int32_t> active;
-  active.reserve(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    FindNode& node = chunk.nodes[s];
-    node.state = starts[s];  // starts are distinct states — no merges yet
-    if (starts[s] == initial) node.last_sep = 0;
-    active.push_back(static_cast<std::int32_t>(s));
-  }
+/// One chunk's walk (parallel/chunk_walker.hpp) with its recorder.
+template <typename Record>
+struct ChunkRun {
+  WalkForest forest;
+  Record record;
+};
 
-  std::vector<std::int32_t> owner;
-  std::vector<State> touched;
-  if constexpr (kConvergent)
-    owner.assign(static_cast<std::size_t>(dfa.num_states()), -1);
-
-  std::int64_t pos = 0;
-  GovPoll poll(gov);
-  for (const Symbol symbol : span) {
-    poll.step();
-    if (active.empty()) break;
-    if (!step.prepare(symbol)) {
-      // Alien symbol: every run dies without the symbol being counted.
-      for (const std::int32_t idx : active)
-        chunk.nodes[static_cast<std::size_t>(idx)].dead = true;
-      active.clear();
-      break;
-    }
-    ++pos;
-    if constexpr (kConvergent) touched.clear();
-    std::size_t write = 0;
-    for (const std::int32_t idx : active) {
-      FindNode& node = chunk.nodes[static_cast<std::size_t>(idx)];
-      const State next = step.advance(node.state);
-      if (next == kDeadState) {
-        node.dead = true;  // the dying symbol is not counted
-        continue;
-      }
-      ++chunk.transitions;
-      node.state = next;
-      if (next == initial) node.last_sep = pos;
-      if (dfa.is_final(next))
-        node.hits.push_back({static_cast<std::uint64_t>(pos), node.last_sep});
-      if constexpr (kConvergent) {
-        std::int32_t& claim = owner[static_cast<std::size_t>(next)];
-        if (claim == -1) {
-          claim = idx;
-          touched.push_back(next);
-          active[write++] = idx;
-        } else {
-          // Merge: idx's run is identical to claim's from here on. The
-          // claiming run was advanced earlier this round, so its hit list
-          // already holds this position's hit — sharing starts after it.
-          node.parent = claim;
-          node.parent_base = chunk.nodes[static_cast<std::size_t>(claim)].hits.size();
-          node.merge_pos = pos;
-        }
-      } else {
-        active[write++] = idx;
-      }
-    }
-    active.resize(write);
-    if constexpr (kConvergent)
-      for (const State s : touched) owner[static_cast<std::size_t>(s)] = -1;
-  }
-  return chunk;
+template <typename Record>
+ChunkRun<Record> run_chunk(const Dfa& dfa, std::span<const Symbol> span,
+                           std::span<const State> starts, bool convergence,
+                           const std::vector<std::uint8_t>& flags,
+                           const QueryGovernor* gov) {
+  ChunkRun<Record> run;
+  run.record.reset(flags.data(), starts);
+  run.forest = walk_chunk(dfa, span, starts, convergence, run.record, gov);
+  return run;
 }
 
-/// Joins one batch of finding-kernel chunk runs: walks the consistent
-/// start's chain through each chunk's merge forest, resolving every hit's
-/// begin and emitting (begin, end) as ABSOLUTE positions (`origin` is the
-/// absolute offset of runs[0]'s first symbol; chunk 0 must have run from
-/// the single start `state`, later chunks from all states, indexed by state
-/// id). `state` enters as the consistent run's state before the batch and
-/// leaves as its state after it; `carried_sep` is the absolute last
-/// separator and advances with the walk — which is exactly the state a
-/// streaming caller keeps between windows. Shared by the one-shot
+/// The join counting and finding share: walks the consistent run through
+/// each chunk's merge forest — chunk 0 ran from the single start `state`,
+/// later chunks from all states, indexed by state id — calling
+/// visit(i, node, child) for every node on chunk i's chain (`child` is the
+/// node that merged into it, -1 for the chain's first). `state` enters as
+/// the consistent run's state before the batch and leaves as its state
+/// after it; `died` is set (and the walk stops) when the run dies.
+template <typename Record, typename Visit>
+void join_chains(std::span<const ChunkRun<Record>> runs, State& state, bool& died,
+                 Visit&& visit) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const WalkForest& forest = runs[i].forest;
+    std::size_t node = i == 0 ? 0 : static_cast<std::size_t>(state);
+    std::int32_t child = -1;
+    while (true) {
+      visit(i, node, child);
+      const std::int32_t parent = forest.parent[node];
+      if (parent < 0) break;
+      child = static_cast<std::int32_t>(node);
+      node = static_cast<std::size_t>(parent);
+    }
+    if (forest.end[node] == kDeadState) {
+      died = true;
+      return;
+    }
+    state = forest.end[node];
+  }
+}
+
+/// Joins one batch of finding runs, resolving every hit's begin and
+/// emitting (begin, end) as ABSOLUTE positions (`origin` is the absolute
+/// offset of runs[0]'s first symbol). `carried_sep` is the absolute last
+/// separator and advances with the walk — together with `state`, exactly
+/// what a streaming caller keeps between windows. Shared by the one-shot
 /// find_matches (origin 0, one batch) and stream_find_feed (one batch per
 /// window). Within a chunk a hit whose separator predates the chunk (or,
 /// under convergence, predates a merge in its chain) falls back first to
 /// the chain's own earlier tracker and ultimately to `carried_sep`.
 template <typename Emit>
-void join_find_chunks(std::span<const FindChunk> runs, std::span<const ChunkSpan> chunks,
-                      std::uint64_t origin, State& state, std::uint64_t& carried_sep,
-                      bool& died, Emit&& emit) {
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const FindChunk& run = runs[i];
-    const std::uint64_t base = origin + chunks[i].begin;
-    // Walk the consistent start's chain through the merge forest. `floor`
-    // is the position where the previous chain node merged into the current
-    // one — separators recorded before it belong to the current node's own
-    // history, not the consistent run's, and substitute through `sub`.
-    std::size_t node_index = i == 0 ? 0 : static_cast<std::size_t>(state);
-    std::size_t hit_base = 0;
-    std::int64_t floor = 0;
-    std::int64_t sub = -1;
-    while (true) {
-      const FindNode& node = run.nodes[node_index];
-      for (std::size_t h = hit_base; h < node.hits.size(); ++h) {
-        const FindHit& hit = node.hits[h];
-        const std::int64_t sep = hit.sep >= floor ? hit.sep : sub;
-        emit(sep >= 0 ? base + static_cast<std::uint64_t>(sep) : carried_sep,
-             base + hit.pos);
-      }
-      if (node.parent == -1) {
-        const std::int64_t final_sep = node.last_sep >= floor ? node.last_sep : sub;
-        if (final_sep >= 0) carried_sep = base + static_cast<std::uint64_t>(final_sep);
-        if (node.dead) {
-          died = true;
-        } else {
-          state = node.state;
-        }
-        break;
-      }
-      sub = node.last_sep >= floor ? node.last_sep : sub;
-      floor = node.merge_pos;
-      hit_base = node.parent_base;
-      node_index = static_cast<std::size_t>(node.parent);
+void join_find_chunks(std::span<const ChunkRun<FindRecord>> runs,
+                      std::span<const ChunkSpan> chunks, std::uint64_t origin,
+                      State& state, std::uint64_t& carried_sep, bool& died, Emit&& emit) {
+  // `floor` is the position where the previous chain node merged into the
+  // current one — separators recorded before it belong to the current
+  // node's own history, not the consistent run's, and substitute through
+  // `sub`.
+  std::uint64_t base = 0;
+  std::size_t hit_base = 0;
+  std::int64_t floor = 0;
+  std::int64_t sub = -1;
+  const auto visit = [&](std::size_t i, std::size_t node, std::int32_t child) {
+    const FindRecord& record = runs[i].record;
+    if (child < 0) {
+      base = origin + chunks[i].begin;
+      hit_base = 0;
+      floor = 0;
+      sub = -1;
+    } else {
+      const auto c = static_cast<std::size_t>(child);
+      sub = record.last_sep[c] >= floor ? record.last_sep[c] : sub;
+      floor = record.merge_pos[c];
+      hit_base = record.parent_base[c];
     }
-    if (died) break;
-  }
-}
-
-/// The SIMD finding kernel: the same lockstep/merge bookkeeping as
-/// find_chunk, but each symbol advances ALL active runs through one vector
-/// gather over the packed column (util/simd_gather.hpp) into a buffer the
-/// scalar bookkeeping then consumes. Hit recording is branch-light: a
-/// per-state flag byte (final | initial) is extracted from the gathered
-/// next state, the separator update is a conditional move, and the only
-/// branch left on the common path is the rare hit push. Emits node fields,
-/// accounting and merge forests bit-identical to the scalar kernels.
-template <bool kConvergent, typename T>
-FindChunk find_chunk_simd(const Dfa& dfa, const PackedTable& table,
-                          std::span<const Symbol> span,
-                          std::span<const State> starts,
-                          const QueryGovernor* gov) {
-  constexpr std::int32_t kDeadWide = PackedWideDead<T>;
-  const simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
-  const T* entries = table.data<T>();
-  const auto n = static_cast<std::size_t>(table.num_states());
-  const auto limit = static_cast<std::uint32_t>(table.num_symbols());
-  const State initial = dfa.initial();
-
-  // flag[s]: bit 0 = final (record a hit), bit 1 = initial (new separator).
-  std::vector<std::uint8_t> flags(n, 0);
-  for (State s = 0; s < dfa.num_states(); ++s)
-    flags[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(
-        (dfa.is_final(s) ? 1u : 0u) | (s == initial ? 2u : 0u));
-
-  FindChunk chunk;
-  chunk.nodes.resize(starts.size());
-  std::vector<std::int32_t> active;  // node indices, in `starts` order
-  std::vector<std::int32_t> astate;  // i32 gather indices, parallel to active
-  active.reserve(starts.size());
-  astate.reserve(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    FindNode& node = chunk.nodes[s];
-    node.state = starts[s];  // starts are distinct states — no merges yet
-    if (starts[s] == initial) node.last_sep = 0;
-    active.push_back(static_cast<std::int32_t>(s));
-    astate.push_back(starts[s]);
-  }
-
-  std::vector<std::int32_t> owner;
-  std::vector<State> touched;
-  if constexpr (kConvergent) owner.assign(n, -1);
-
-  std::int64_t pos = 0;
-  GovPoll poll(gov);
-  for (const Symbol symbol : span) {
-    poll.step();
-    if (active.empty()) break;
-    if (static_cast<std::uint32_t>(symbol) >= limit) {
-      // Alien symbol: every run dies without the symbol being counted.
-      for (const std::int32_t idx : active)
-        chunk.nodes[static_cast<std::size_t>(idx)].dead = true;
-      active.clear();
-      break;
+    const std::vector<FindHit>& hits = record.hits[node];
+    for (std::size_t h = hit_base; h < hits.size(); ++h) {
+      const std::int64_t sep = hits[h].sep >= floor ? hits[h].sep : sub;
+      emit(sep >= 0 ? base + static_cast<std::uint64_t>(sep) : carried_sep,
+           base + hits[h].pos);
     }
-    const T* col = entries + static_cast<std::size_t>(symbol) * n;
-    // In-place gather (the contract allows out == idx): astate[a] becomes
-    // the advanced state; the bookkeeping below reads slot a before the
-    // compaction writes slot `write` <= a.
-    gather(col, astate.data(), active.size(), astate.data());
-    ++pos;
-    if constexpr (kConvergent) touched.clear();
-    std::size_t write = 0;
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::int32_t idx = active[a];
-      FindNode& node = chunk.nodes[static_cast<std::size_t>(idx)];
-      const std::int32_t value = astate[a];
-      if (value == kDeadWide) {
-        node.dead = true;  // the dying symbol is not counted
-        continue;
-      }
-      ++chunk.transitions;
-      node.state = static_cast<State>(value);
-      const std::uint8_t flag = flags[static_cast<std::size_t>(value)];
-      node.last_sep = (flag & 2) != 0 ? pos : node.last_sep;
-      if ((flag & 1) != 0)
-        node.hits.push_back({static_cast<std::uint64_t>(pos), node.last_sep});
-      if constexpr (kConvergent) {
-        std::int32_t& claim = owner[static_cast<std::size_t>(value)];
-        if (claim == -1) {
-          claim = idx;
-          touched.push_back(static_cast<State>(value));
-          active[write] = idx;
-          astate[write] = value;
-          ++write;
-        } else {
-          // Merge: idx's run is identical to claim's from here on (see
-          // find_chunk — the claiming run already holds this position's
-          // hit, so sharing starts after it).
-          node.parent = claim;
-          node.parent_base = chunk.nodes[static_cast<std::size_t>(claim)].hits.size();
-          node.merge_pos = pos;
-        }
-      } else {
-        active[write] = idx;
-        astate[write] = value;
-        ++write;
-      }
+    if (runs[i].forest.parent[node] < 0) {
+      const std::int64_t own = record.last_sep[node];
+      const std::int64_t final_sep = own >= floor ? own : sub;
+      if (final_sep >= 0) carried_sep = base + static_cast<std::uint64_t>(final_sep);
     }
-    active.resize(write);
-    astate.resize(write);
-    if constexpr (kConvergent)
-      for (const State s : touched) owner[static_cast<std::size_t>(s)] = -1;
-  }
-  return chunk;
-}
-
-FindChunk run_find_chunk(const Dfa& dfa, std::span<const Symbol> span,
-                         std::span<const State> starts, const QueryOptions& options,
-                         const QueryGovernor* gov) {
-  // A gather block is 8 lanes; below that kSimd would pay one dispatch
-  // call per symbol for a pure scalar tail, so small start sets take the
-  // fused step policy instead (bit-identical results either way).
-  if (options.kernel == DetKernel::kSimd && starts.size() >= 8) {
-    const PackedTable& table = dfa.packed();
-    switch (table.width()) {
-      case TableWidth::kU8:
-        return options.convergence
-                   ? find_chunk_simd<true, std::uint8_t>(dfa, table, span, starts, gov)
-                   : find_chunk_simd<false, std::uint8_t>(dfa, table, span, starts, gov);
-      case TableWidth::kU16:
-        return options.convergence
-                   ? find_chunk_simd<true, std::uint16_t>(dfa, table, span, starts, gov)
-                   : find_chunk_simd<false, std::uint16_t>(dfa, table, span, starts, gov);
-      case TableWidth::kI32:
-        break;
-    }
-    return options.convergence
-               ? find_chunk_simd<true, std::int32_t>(dfa, table, span, starts, gov)
-               : find_chunk_simd<false, std::int32_t>(dfa, table, span, starts, gov);
-  }
-  if (options.kernel == DetKernel::kReference) {
-    return options.convergence
-               ? find_chunk<true>(dfa, span, starts, RowStep{dfa}, gov)
-               : find_chunk<false>(dfa, span, starts, RowStep{dfa}, gov);
-  }
-  const PackedTable& table = dfa.packed();
-  switch (table.width()) {
-    case TableWidth::kU8:
-      return options.convergence
-                 ? find_chunk<true>(dfa, span, starts, PackedStep<std::uint8_t>{table},
-                                    gov)
-                 : find_chunk<false>(dfa, span, starts, PackedStep<std::uint8_t>{table},
-                                     gov);
-    case TableWidth::kU16:
-      return options.convergence
-                 ? find_chunk<true>(dfa, span, starts, PackedStep<std::uint16_t>{table},
-                                    gov)
-                 : find_chunk<false>(dfa, span, starts, PackedStep<std::uint16_t>{table},
-                                     gov);
-    case TableWidth::kI32:
-      break;
-  }
-  return options.convergence
-             ? find_chunk<true>(dfa, span, starts, PackedStep<std::int32_t>{table}, gov)
-             : find_chunk<false>(dfa, span, starts, PackedStep<std::int32_t>{table},
-                                 gov);
+  };
+  join_chains(runs, state, died, visit);
 }
 
 /// Resolves the governor an entry point runs under: an explicit one from
@@ -577,34 +273,32 @@ QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
   for (State s = 0; s < dfa.num_states(); ++s) all_states.push_back(s);
   const std::vector<State> first_start{dfa.initial()};
 
-  std::vector<CountChunk> runs(chunks.size());
+  const std::vector<std::uint8_t> flags = state_flags(dfa);
+
+  std::vector<ChunkRun<CountRecord>> runs(chunks.size());
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
     const std::span<const State> starts =
         (i == 0) ? std::span<const State>(first_start)
                  : std::span<const State>(all_states);
-    runs[i] = options.convergence ? count_chunk_convergent(dfa, span, starts, gov)
-                                  : count_chunk_independent(dfa, span, starts, gov);
+    runs[i] = run_chunk<CountRecord>(dfa, span, starts, options.convergence, flags, gov);
   });
   result.reach_seconds = reach_clock.seconds();
 
-  // Join: walk the unique consistent path and sum the counters. All chunks'
-  // transitions are speculative work actually executed, so they count even
-  // when the true path dies early (convention: parallel/ca_run.hpp).
+  // Join: walk the unique consistent path and sum the counters up each
+  // chunk's merge chain. All chunks' transitions are speculative work
+  // actually executed, so they count even when the true path dies early
+  // (convention: parallel/ca_run.hpp).
   Stopwatch join_clock;
-  for (const CountChunk& run : runs) result.transitions += run.transitions;
+  for (const auto& run : runs) result.transitions += run.forest.transitions;
   State state = dfa.initial();
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const CountChunk& run = runs[i];
-    const std::size_t index = i == 0 ? 0 : static_cast<std::size_t>(state);
-    result.matches += run.hits[index];
-    if (run.end[index] == kDeadState) {
-      result.died = true;
-      break;
-    }
-    state = run.end[index];
-  }
+  const auto sum_hits = [&](std::size_t i, std::size_t node, std::int32_t child) {
+    const CountRecord& record = runs[i].record;
+    result.matches += record.hits[node];
+    if (child >= 0) result.matches -= record.base[static_cast<std::size_t>(child)];
+  };
+  join_chains<CountRecord>(runs, state, result.died, sum_hits);
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
@@ -671,14 +365,16 @@ QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
   for (State s = 0; s < dfa.num_states(); ++s) all_states.push_back(s);
   const std::vector<State> first_start{dfa.initial()};
 
-  std::vector<FindChunk> runs(chunks.size());
+  const std::vector<std::uint8_t> flags = state_flags(dfa);
+
+  std::vector<ChunkRun<FindRecord>> runs(chunks.size());
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
     const std::span<const State> starts =
         (i == 0) ? std::span<const State>(first_start)
                  : std::span<const State>(all_states);
-    runs[i] = run_find_chunk(dfa, span, starts, options, gov);
+    runs[i] = run_chunk<FindRecord>(dfa, span, starts, options.convergence, flags, gov);
   });
   result.reach_seconds = reach_clock.seconds();
 
@@ -686,7 +382,7 @@ QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
   // (join_find_chunks). Paging trims the emitted window but never the
   // count. Transition accounting: parallel/ca_run.hpp.
   Stopwatch join_clock;
-  for (const FindChunk& run : runs) result.transitions += run.transitions;
+  for (const auto& run : runs) result.transitions += run.forest.transitions;
   State state = dfa.initial();
   std::uint64_t carried_sep = 0;  // global: position 0 is always a separator
   join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
@@ -756,20 +452,22 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
   }
   const std::vector<State> first_start{carry.state};
 
-  std::vector<FindChunk> runs(chunks.size());
+  const std::vector<std::uint8_t> flags = state_flags(dfa);
+
+  std::vector<ChunkRun<FindRecord>> runs(chunks.size());
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // window/chunk boundary checkpoint
     const auto span = window.subspan(chunks[i].begin, chunks[i].length);
     const std::span<const State> starts =
         (i == 0) ? std::span<const State>(first_start)
                  : std::span<const State>(carry.speculative_starts);
-    runs[i] = run_find_chunk(dfa, span, starts, options, gov);
+    runs[i] = run_chunk<FindRecord>(dfa, span, starts, options.convergence, flags, gov);
   });
 
   // Join, serialized per window: the carried (state, last separator) enter
   // the walk and leave updated for the next window; hits emit through the
   // sink with absolute offsets.
-  for (const FindChunk& run : runs) carry.transitions += run.transitions;
+  for (const auto& run : runs) carry.transitions += run.forest.transitions;
   join_find_chunks(runs, chunks, origin, carry.state, carry.last_sep, carry.died,
                    [&](std::uint64_t begin, std::uint64_t end) {
                      if (exact) {

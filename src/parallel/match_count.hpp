@@ -11,13 +11,15 @@
 // DFA; if the true run dies, the count up to the death point is returned
 // and `died` is set.
 //
+// Each chunk run is the chunk walker (parallel/chunk_walker.hpp) — the one
+// template body recognize runs too — with a hit-counting recorder.
 // Counting takes the unified QueryOptions: `chunks` as everywhere, and
-// `convergence` enables a run-convergence counting kernel — runs that land
-// in the same state at the same position share all future hits, so merged
-// runs execute (and count) as one from the merge point on, with per-start
-// totals reconstructed through the merge tree at the end. Knobs counting
-// cannot honor (lookback, tree_join, a kernel choice) raise QueryError.
-// Transition accounting follows the convention of parallel/ca_run.hpp.
+// `convergence` merges runs that land in the same state at the same
+// position: they share all future hits, so merged runs execute (and count)
+// as one from the merge point on, and the join sums the consistent start's
+// hits up its merge chain. Knobs counting cannot honor (lookback,
+// tree_join) raise QueryError. Transition accounting follows the
+// convention of parallel/ca_run.hpp.
 //
 // ## Finding (positions, not just totals)
 //
@@ -31,16 +33,13 @@
 // tracker, and pages the emitted list with QueryOptions::offset/limit while
 // still counting every occurrence in `matches`.
 //
-// Finding honors the full kernel vocabulary: `convergence` shares hit
-// LISTS through the merge tree (per-start lists reconstructed lazily, only
-// for the one consistent start per chunk, at join time), and `kernel`
-// selects between the fused lockstep loop on the width-packed table
-// (kFused, the default serving path), the vector-gather lockstep with
-// branch-light flag-extract hit recording (kSimd — AVX2 or the portable
-// unrolled fallback, runtime-picked; see util/simd_gather.hpp), and a
-// plain row-table stepping loop (kReference) — with find_matches_serial as
-// the one-scan oracle above all three (property-tested equal across every
-// combination).
+// Finding runs the same walker with a recorder that keeps, per hit, the
+// end position and the run's last separator. `convergence` shares hit
+// LISTS through the merge forest (per-start lists reconstructed lazily,
+// only for the one consistent start per chunk, at join time), and the join
+// walks the same merge chains as counting — with find_matches_serial as
+// the one-scan oracle above it (property-tested equal with convergence on
+// and off).
 #pragma once
 
 #include <cstdint>
@@ -77,17 +76,16 @@ QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
                           ThreadPool& pool, const QueryOptions& options,
                           const QueryGovernor* governor = nullptr);
 
-/// What finding honors of the unified options (chunks, convergence, kernel,
-/// offset/limit paging) — shared with Engine::find / PatternSet so they can
+/// What finding honors of the unified options (chunks, convergence,
+/// begin_mode, offset/limit paging) — shared with Engine::find / PatternSet so they can
 /// reject a bad query before the searcher build and text translation.
 inline constexpr DeviceCaps kFindingCaps{.convergence = true,
-                                         .kernel_select = true,
                                          .paging = true,
                                          .positions = true,
                                          .exact_begins = true};
 inline constexpr const char* kFindingContext =
     "find (the position-emitting counting kernel; it honors chunks, "
-    "convergence, kernel, begin_mode and offset/limit)";
+    "convergence, begin_mode and offset/limit)";
 
 /// Serial reference oracle for finding: one scan of `input` emitting a
 /// Match per final-state position (begin = the scan's last separator; see
@@ -101,8 +99,8 @@ QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
                                 const Dfa* exact_reverse = nullptr);
 
 /// Parallel position finding over options.chunks chunks on the pool; the
-/// positions equal the serial oracle's on every input for every
-/// (convergence, kernel) combination (property-tested), then windowed by
+/// positions equal the serial oracle's on every input, with convergence on
+/// or off (property-tested), then windowed by
 /// options.offset/limit (`matches` still counts all). Throws QueryError for
 /// knobs finding cannot honor. Every emitted Match carries `pattern_id`.
 /// Under options.begin_mode == BeginMode::kExact, `reverse` (the pattern's
@@ -164,22 +162,21 @@ void encode_find_carry(const FindCarry& carry, std::string& out);
 /// a typed error, never as an inconsistent session.
 FindCarry decode_find_carry(std::string_view image, std::size_t& pos);
 
-/// What streaming find honors (chunks, convergence, kernel — no paging: an
+/// What streaming find honors (chunks, convergence, begin_mode — no paging: an
 /// unbounded stream has no total to page against, so offset/limit REJECT),
 /// and the validate_query context naming it.
 inline constexpr DeviceCaps kStreamFindingCaps{.convergence = true,
-                                               .kernel_select = true,
                                                .positions = true,
                                                .exact_begins = true};
 inline constexpr const char* kStreamFindingContext =
     "streaming find (the window-fed position-emitting kernel; it honors "
-    "chunks, convergence, kernel and begin_mode)";
+    "chunks, convergence and begin_mode)";
 
 /// Consumes one window of a streamed input on the Σ*p searcher `dfa`,
 /// updating `carry` in place and emitting every occurrence ending inside
 /// the window through `sink` with ABSOLUTE offsets (begin may predate the
 /// window — the carried separator). Windows of any size: large windows fan
-/// out over options.chunks finding-kernel runs (the window's first chunk
+/// out over options.chunks finding walks (the window's first chunk
 /// continues from the carried state, later chunks speculate from every
 /// searcher state), with the join serialized per window. Feeding a text in
 /// any segmentation emits exactly the one-shot find_matches/serial-oracle

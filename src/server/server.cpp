@@ -222,7 +222,9 @@ struct Server::Connection {
   bool reading = true;         ///< EPOLLIN interest (false = backpressured)
   bool draining_close = false; ///< protocol error: close once outbuf flushes
   bool broken = false;         ///< hard socket error; close at next safe point
-  bool drain_terminal_sent = false;  ///< terminal DRAINING frame enqueued
+  /// Terminal DRAINING frame enqueued. From then on the connection no
+  /// longer counts in connections_open (it only flushes and closes).
+  bool drain_terminal_sent = false;
   std::unordered_map<std::uint32_t, std::shared_ptr<Session>> sessions;
   std::size_t queued_feeds = 0;  ///< windows pending + in flight, all sessions
   std::uint64_t last_activity_ms = 0;  ///< inbound bytes / feed completions (reaper)
@@ -480,8 +482,9 @@ void Server::close_connection(int fd) {
   connections_by_uid_.erase(conn.uid);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
+  const bool counted = !conn.drain_terminal_sent;
   connections_.erase(it);
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
+  if (counted) connections_open_.fetch_sub(1, std::memory_order_relaxed);
   maybe_finish_drain();
 }
 
@@ -1022,7 +1025,12 @@ void Server::drain_session(Connection& conn, std::uint32_t session_id) {
 bool Server::finish_connection_drain(Connection& conn) {
   if (!conn.sessions.empty()) return false;  // busy sessions still finishing
   if (!conn.drain_terminal_sent) {
+    // The counters settle BEFORE the terminal frame is written: it may
+    // flush at once, and a client that has read it must already see this
+    // connection gone from connections_open (its sessions left
+    // sessions_open as each was drained).
     conn.drain_terminal_sent = true;
+    connections_open_.fetch_sub(1, std::memory_order_relaxed);
     enqueue_output(conn, draining_terminal_frame());
     conn.draining_close = true;
   }

@@ -116,7 +116,10 @@ struct ServerConfig {
 };
 
 /// Monotone serving counters (the STATS frame serializes these plus
-/// PoolStats as JSON). `connections_open`/`sessions_open` are gauges.
+/// PoolStats as JSON). `connections_open`/`sessions_open` are gauges. A
+/// draining connection leaves `connections_open` before its terminal
+/// DRAINING frame is written, so a client that has read that frame never
+/// sees itself counted.
 struct ServerCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;

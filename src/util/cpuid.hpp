@@ -1,7 +1,7 @@
-// Runtime CPU feature detection for the SIMD kernel dispatch.
+// Runtime CPU feature detection for the gather dispatch.
 //
-// The kSimd chunk kernels (parallel/ca_run.cpp, parallel/match_count.cpp)
-// want AVX2 gathers but must run everywhere: the dispatch asks this module
+// The chunk walker's gather step (parallel/chunk_walker.hpp) wants AVX2
+// gathers but must run everywhere: the dispatch asks this module
 // once per process and falls back to the portable unrolled loops when the
 // hardware (or the build — see RISPAR_DISABLE_AVX2 in CMakeLists.txt) does
 // not provide AVX2. Detection is a cached `__builtin_cpu_supports` probe on

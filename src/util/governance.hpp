@@ -14,12 +14,12 @@
 //
 //  * at the top of every pool task (chunk boundary) — the floor every
 //    shape honors, including the SFA comparator whose inner run is opaque;
-//  * every kGovernorStride symbols inside the per-symbol loops (reference,
-//    NFA, counting, finding kernels) via GovPoll;
-//  * after each validated block in the fused/SIMD lockstep loops, once the
-//    blocks accumulate to the stride — the blocks are kValidateBlock long,
-//    so the amortized cost stays under the documented <2% budget
-//    (docs/perf.md "Checkpoint polling granularity");
+//  * every kGovernorStride symbols inside the per-symbol loops (reference
+//    and NFA kernels) via GovPoll;
+//  * inside the chunk walker (recognize, count and find), between its
+//    kValidateBlock-long blocks once they accumulate to the stride, so the
+//    amortized cost stays under the documented <2% budget (docs/perf.md
+//    "Checkpoint polling granularity");
 //  * at every StreamSession window (per feed).
 //
 // A trip throws QueryCancelled or DeadlineExceeded from whichever worker
@@ -134,7 +134,7 @@ class CancelSource {
 /// Symbols between cooperative polls inside the per-symbol kernel loops.
 /// Small enough for sub-millisecond trip latency on any kernel, large
 /// enough that the poll (one relaxed steady_clock read + one atomic load)
-/// amortizes to <2% of the fused/SIMD series (measured by the
+/// amortizes to <2% of the walker series (measured by the
 /// deadline_checkpoint bench series in BENCH_chunk_kernels.json).
 inline constexpr std::size_t kGovernorStride = 8192;
 

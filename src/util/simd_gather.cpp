@@ -53,11 +53,12 @@ template <typename T>
 std::size_t advance_span_portable(const void* entries_v, std::size_t num_states,
                                   const std::int32_t* symbols, std::size_t count,
                                   std::int32_t* state, std::uint32_t* origin,
-                                  std::size_t& live, std::uint64_t& transitions) {
+                                  std::size_t& live, std::uint64_t& transitions,
+                                  std::size_t min_live) {
   const T* entries = static_cast<const T*>(entries_v);
   constexpr auto kDead = static_cast<std::int32_t>(static_cast<T>(-1));
   std::size_t consumed = 0;
-  while (consumed < count && live > 1) {
+  while (consumed < count && live >= min_live) {
     const T* col = entries + static_cast<std::size_t>(symbols[consumed]) * num_states;
     std::size_t write = 0;
     std::size_t i = 0;

@@ -1,11 +1,11 @@
-// Vectorized column gathers for the kSimd lockstep kernels.
+// Vectorized column gathers for the chunk walker's many-live-runs step.
 //
-// The hot loop of every deterministic chunk kernel is "advance N live runs
-// over one symbol": N independent loads from one symbol-major packed-table
-// column (automata/packed_table.hpp). The scalar kernels issue those loads
-// one dependent branch at a time; the kSimd kernels instead hand the whole
-// live block to one of these gather routines, which widens the state ids to
-// i32 indices and issues the loads eight at a time:
+// The hot loop of the chunk walker (parallel/chunk_walker.hpp) is "advance
+// N live runs over one symbol": N independent loads from one symbol-major
+// packed-table column (automata/packed_table.hpp). With few live runs the
+// walker issues those loads one at a time; from eight live runs on it
+// hands the whole live block to one of these gather routines, which widens
+// the state ids to i32 indices and issues the loads eight at a time:
 //
 //  * AVX2 backend — `vpgatherdd` on the column base with scale 1/2/4 for
 //    the u8/u16/i32 entry widths; the two narrow widths mask the gathered
@@ -19,7 +19,7 @@
 // `gather_ops()` picks the backend once per process via util/cpuid.hpp.
 // Output contract: out[i] is the ZERO-EXTENDED entry col[idx[i]] — the dead
 // sentinel therefore arrives as PackedWideDead<T> (0xFF / 0xFFFF /
-// kDeadState), which is what the kernels compare against. The gathers may
+// kDeadState), which is what the walker compares against. The gathers may
 // read up to 3 bytes past an entry (dword loads at narrow widths), which
 // PackedTable's build-time tail slack makes safe (kGatherSlackEntries).
 #pragma once
@@ -36,22 +36,25 @@ namespace rispar::simd {
 using GatherFn = void (*)(const void* col, const std::int32_t* idx, std::size_t n,
                           std::int32_t* out);
 
-/// The independent lockstep kernel's whole inner loop in one call, so the
-/// per-symbol work — column base, gather, survivor test, dead-run
-/// compaction, transition accounting — never crosses the dispatch boundary.
-/// Advances `state[0..live)` (with parallel `origin` tags) over
-/// `symbols[0..count)`, all pre-validated to be in range: one column gather
-/// per symbol, survivors compacted to the front, the per-symbol survivor
-/// count accumulated into `transitions` (one executed transition per run
-/// surviving that symbol). Stops after the symbol that leaves live <= 1
-/// (the caller's scalar tail takes over). Updates `live` in place and
-/// returns the number of symbols fully consumed. The AVX2 backend's
-/// movemask fast path makes the all-survive block — the common case while
-/// many runs are live — one gather plus one store, no per-lane work.
+/// The chunk walker's whole gather step for independent runs with nothing
+/// recorded (parallel/chunk_walker.hpp), in one call, so the per-symbol
+/// work — column base, gather, survivor test, dead-run compaction,
+/// transition accounting — never crosses the dispatch boundary. Advances
+/// `state[0..live)` (with parallel `origin` tags) over `symbols[0..count)`,
+/// all pre-validated to be in range: one column gather per symbol,
+/// survivors compacted to the front in order, the per-symbol survivor count
+/// accumulated into `transitions` (one executed transition per run
+/// surviving that symbol). Runs only while live >= min_live and stops after
+/// the symbol that leaves fewer (the caller's narrower step takes over).
+/// Updates `live` in place and returns the number of symbols fully
+/// consumed. The AVX2 backend's movemask fast path makes the all-survive
+/// block — the common case while many runs are live — one gather plus one
+/// store, no per-lane work.
 using AdvanceSpanFn = std::size_t (*)(const void* entries, std::size_t num_states,
                                       const std::int32_t* symbols, std::size_t count,
                                       std::int32_t* state, std::uint32_t* origin,
-                                      std::size_t& live, std::uint64_t& transitions);
+                                      std::size_t& live, std::uint64_t& transitions,
+                                      std::size_t min_live);
 
 struct GatherOps {
   GatherFn u8;
@@ -80,7 +83,7 @@ const GatherOps* avx2_gather_ops();
 /// disagree with the dispatch.
 const char* simd_backend_name();
 
-/// The width-typed accessors the templated kernels use.
+/// The width-typed accessors the templated walker uses.
 template <typename T>
 GatherFn gather_fn(const GatherOps& ops);
 template <>

@@ -65,7 +65,7 @@ void gather_i32_avx2(const void* col_v, const std::int32_t* idx, std::size_t n,
   for (; i < n; ++i) out[i] = col[idx[i]];
 }
 
-// The independent lockstep kernel's whole inner loop (simd_gather.hpp,
+// The walker's gather step for independent passive runs (simd_gather.hpp,
 // AdvanceSpanFn): per pre-validated symbol, one gather advances up to 8
 // runs at a time. One constant serves as both the width mask and the
 // widened dead sentinel (0xFF / 0xFFFF zero-extended; all-ones for i32,
@@ -73,19 +73,20 @@ void gather_i32_avx2(const void* col_v, const std::int32_t* idx, std::size_t n,
 // all-survive block — the common case while many runs are live — one
 // gather plus one store with no per-lane work; blocks with deaths fall
 // back to the branchless scalar compaction over the already-gathered
-// lanes. Living here (not in ca_run.cpp) keeps the per-symbol work free
+// lanes. Living here (not in the walker) keeps the per-symbol work free
 // of cross-TU calls: the dispatch boundary is crossed once per validated
 // span, not once per symbol.
 template <typename T, int kScale>
 std::size_t advance_span_avx2(const void* entries_v, std::size_t num_states,
                               const std::int32_t* symbols, std::size_t count,
                               std::int32_t* state, std::uint32_t* origin,
-                              std::size_t& live, std::uint64_t& transitions) {
+                              std::size_t& live, std::uint64_t& transitions,
+                              std::size_t min_live) {
   const T* entries = static_cast<const T*>(entries_v);
   constexpr auto kDead = static_cast<std::int32_t>(static_cast<T>(-1));
   const __m256i mask = _mm256_set1_epi32(kDead);
   std::size_t consumed = 0;
-  while (consumed < count && live > 1) {
+  while (consumed < count && live >= min_live) {
     const T* col = entries + static_cast<std::size_t>(symbols[consumed]) * num_states;
     const auto* base = reinterpret_cast<const int*>(col);
     std::size_t write = 0;

@@ -96,17 +96,6 @@ void expect_same_answers(const Pattern& reference, const Pattern& candidate,
     for (const Variant variant : {Variant::kDfa, Variant::kNfa, Variant::kRid,
                                   Variant::kSfa}) {
       if (variant == Variant::kSfa && !both_sfa) continue;
-      for (const DetKernel kernel :
-           {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
-        // Kernel choice applies to the deterministic devices only.
-        if (variant == Variant::kNfa || variant == Variant::kSfa) continue;
-        const QueryOptions options{
-            .variant = variant, .chunks = 4, .kernel = kernel};
-        EXPECT_EQ(cand.recognize(text, options).accepted,
-                  ref.recognize(text, options).accepted)
-            << variant_name(variant) << "/" << kernel_name(kernel) << " on "
-            << text.substr(0, 32);
-      }
       const QueryOptions options{.variant = variant, .chunks = 4};
       EXPECT_EQ(cand.recognize(text, options).accepted,
                 ref.recognize(text, options).accepted)

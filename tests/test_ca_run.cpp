@@ -114,25 +114,22 @@ TEST(DetChunkRun, DuplicateStartsHandledByConvergence) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-equivalence properties: the fused lockstep / epoch-stamped kernels
-// AND the vector-gather kSimd kernels must produce λ maps and transition
-// counts identical to the seed implementations over randomized machines,
+// Walker equivalence: the chunk walker behind run_chunk_det — gather step,
+// scalar column loop and lone-run loop alike — must produce λ maps,
+// distinct ends and transition counts identical to the seed
+// implementations (run_chunk_det_reference) over randomized machines,
 // starts, and chunk boundaries (whatever gather backend this machine runs).
 // ---------------------------------------------------------------------------
 
 void expect_kernels_agree(const Dfa& dfa, std::span<const Symbol> chunk,
                           std::span<const State> starts, bool convergence) {
   const DetChunkResult reference =
-      run_chunk_det(dfa, chunk, starts,
-                    {.convergence = convergence, .kernel = DetKernel::kReference});
-  for (const DetKernel kernel : {DetKernel::kFused, DetKernel::kSimd}) {
-    const DetChunkResult candidate =
-        run_chunk_det(dfa, chunk, starts, {.convergence = convergence, .kernel = kernel});
-    SCOPED_TRACE(kernel_name(kernel));
-    EXPECT_EQ(candidate.lambda, reference.lambda);
-    EXPECT_EQ(candidate.transitions, reference.transitions);
-    if (convergence) EXPECT_EQ(candidate.distinct_ends, reference.distinct_ends);
-  }
+      run_chunk_det_reference(dfa, chunk, starts, {.convergence = convergence});
+  const DetChunkResult walked =
+      run_chunk_det(dfa, chunk, starts, {.convergence = convergence});
+  EXPECT_EQ(walked.lambda, reference.lambda);
+  EXPECT_EQ(walked.transitions, reference.transitions);
+  EXPECT_EQ(walked.distinct_ends, reference.distinct_ends);
 }
 
 // Random chunk that may contain invalid symbols (kUnmapped and >= k) so the
@@ -279,6 +276,159 @@ TEST(DetKernelEquivalence, ConvergentDistinctEndsMatchLambdaImage) {
     std::vector<State> ends = merged.distinct_ends;
     std::sort(ends.begin(), ends.end());
     EXPECT_EQ(ends, image);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The walker's live-count choice, case by case. A ladder automaton makes
+// the live count a function of the text alone: symbol 0 keeps every state
+// (self-loop), symbol 1 steps s -> s-1 and kills state 0, symbol 2 halves
+// s -> s/2 (pairs collide — merges under convergence). From starts
+// {0..k-1}, the j-th symbol 1 leaves k-j runs alive, so placing the ones
+// places every crossing between the gather step (>= 8 live), the scalar
+// column loop (2..7) and the lone-run loop (1). Padding states beyond the
+// starts only widen the packed table: u8 / u16 / i32 from the state count.
+// ---------------------------------------------------------------------------
+
+Dfa ladder_dfa(std::int32_t num_states) {
+  Dfa dfa = Dfa::with_identity_alphabet(3);
+  for (std::int32_t s = 0; s < num_states; ++s) dfa.add_state(false);
+  dfa.set_initial(0);
+  for (std::int32_t s = 0; s < num_states; ++s) {
+    dfa.set_transition(s, 0, s);
+    if (s > 0) dfa.set_transition(s, 1, s - 1);
+    dfa.set_transition(s, 2, s / 2);
+  }
+  return dfa;
+}
+
+std::vector<State> first_states(std::size_t count) {
+  std::vector<State> starts(count);
+  for (std::size_t i = 0; i < count; ++i) starts[i] = static_cast<State>(i);
+  return starts;
+}
+
+/// `length` symbols of 0 with `symbol` written at each of `positions`.
+std::vector<Symbol> ladder_text(std::size_t length,
+                                std::initializer_list<std::size_t> positions,
+                                Symbol symbol = 1) {
+  std::vector<Symbol> text(length, 0);
+  for (const std::size_t pos : positions) text[pos] = symbol;
+  return text;
+}
+
+/// The ladder at 200, 1000 and 70000 states: u8, u16 and i32 tables.
+const std::vector<Dfa>& ladders() {
+  static const std::vector<Dfa> all{ladder_dfa(200), ladder_dfa(1000), ladder_dfa(70000)};
+  return all;
+}
+
+TEST(ChunkWalker, LadderWidthsPackAsIntended) {
+  EXPECT_EQ(ladders()[0].packed().width(), TableWidth::kU8);
+  EXPECT_EQ(ladders()[1].packed().width(), TableWidth::kU16);
+  EXPECT_EQ(ladders()[2].packed().width(), TableWidth::kI32);
+}
+
+TEST(ChunkWalker, LiveCountCrossesEightMidBlock) {
+  // 12 starts: ones at 100..103 bring the count to 8 (still gather), the
+  // fifth one at 300 drops it to 7 in the middle of the first block; more
+  // ones walk it down to the lone run at 700 and to death at 900.
+  const auto starts = first_states(12);
+  const std::initializer_list<std::size_t> ones{100, 101, 102, 103, 300, 400,
+                                                401, 402, 500, 600, 700, 900};
+  const auto text = ladder_text(1200, ones);
+  // The run from start s dies on the (s+1)-th one, having consumed exactly
+  // the symbols before it.
+  std::uint64_t expected = 0;
+  for (const std::size_t death : ones) expected += death;
+  for (const Dfa& dfa : ladders()) {
+    SCOPED_TRACE(dfa.num_states());
+    expect_kernels_agree(dfa, text, starts, false);
+    expect_kernels_agree(dfa, text, starts, true);
+    const DetChunkResult result = run_chunk_det(dfa, text, starts);
+    EXPECT_TRUE(result.lambda.empty());  // the last run dies at 900
+    EXPECT_EQ(result.transitions, expected);
+  }
+}
+
+TEST(ChunkWalker, LiveCountCrossesEightAtBlockBoundaries) {
+  // The drop from 8 to 7 live lands on the last symbol of the first
+  // 512-symbol validation block, on the first symbol of the second, and
+  // one symbol either side; the lone-run crossing lands on 1023/1024.
+  const auto starts = first_states(10);
+  for (const std::size_t cross : {510u, 511u, 512u, 513u}) {
+    for (const std::size_t lone : {1023u, 1024u}) {
+      const auto text =
+          ladder_text(1600, {5, 6, cross, 700, 701, 702, 703, 800, lone});
+      for (const Dfa& dfa : ladders()) {
+        SCOPED_TRACE(std::to_string(dfa.num_states()) + " cross=" +
+                     std::to_string(cross) + " lone=" + std::to_string(lone));
+        expect_kernels_agree(dfa, text, starts, false);
+        expect_kernels_agree(dfa, text, starts, true);
+        // Exactly one run (start 9) survives, at state 0.
+        const DetChunkResult result = run_chunk_det(dfa, text, starts);
+        ASSERT_EQ(result.lambda.size(), 1u);
+        EXPECT_EQ(result.lambda.front(), (std::pair<State, State>{9, 0}));
+      }
+    }
+  }
+}
+
+TEST(ChunkWalker, AlienSymbolInEveryStep) {
+  // An out-of-alphabet symbol kills every live run uncounted, whichever
+  // step is running: 16 live (gather), 5 live (scalar), 1 live (lone).
+  // The last start sits far up the ladder, so the lone survivor is at
+  // state 100-ones when the alien arrives: an alien equal to the symbol
+  // count would index past the table, not into its dead-filled slack.
+  auto starts = first_states(15);
+  starts.push_back(100);
+  for (const Symbol alien : {Symbol{-1}, Symbol{3}}) {
+    for (const std::size_t ones : {0u, 11u, 15u}) {
+      std::vector<Symbol> text(900, 0);
+      for (std::size_t j = 0; j < ones; ++j) text[20 + j] = 1;
+      for (const std::size_t at : {200u, 511u, 512u, 777u}) {
+        std::vector<Symbol> with_alien = text;
+        with_alien[at] = alien;
+        for (const Dfa& dfa : ladders()) {
+          SCOPED_TRACE(std::to_string(dfa.num_states()) + " live=" +
+                       std::to_string(16 - ones) +
+                       " alien@" + std::to_string(at));
+          expect_kernels_agree(dfa, with_alien, starts, false);
+          expect_kernels_agree(dfa, with_alien, starts, true);
+          const DetChunkResult result = run_chunk_det(dfa, with_alien, starts);
+          EXPECT_TRUE(result.lambda.empty());
+          // Every run consumed the symbols before the alien that it survived.
+          std::uint64_t expected = 0;
+          for (std::size_t start = 0; start < 16; ++start)
+            expected += start < ones ? 20 + start : at;
+          EXPECT_EQ(result.transitions, expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(ChunkWalker, ConvergentMergesCrossEveryBand) {
+  // Symbol 2 halves: 40 starts collapse to 20 groups, then 10, 5, 3, 2 —
+  // under convergence the walker leaves the gather band by merging, not
+  // dying; independent runs keep all 40 lanes (and the gather step). The
+  // ones kill the group at state 0 and shift the rest between halvings.
+  const auto starts = first_states(40);
+  for (const std::size_t first : {100u, 511u, 512u}) {
+    auto text = ladder_text(1400, {first, 700, 900, 1100, 1200}, 2);
+    text[650] = 1;
+    text[1300] = 1;
+    for (const Dfa& dfa : ladders()) {
+      SCOPED_TRACE(std::to_string(dfa.num_states()) + " first merge at " +
+                   std::to_string(first));
+      expect_kernels_agree(dfa, text, starts, false);
+      expect_kernels_agree(dfa, text, starts, true);
+      const DetChunkResult merged =
+          run_chunk_det(dfa, text, starts, {.convergence = true});
+      const DetChunkResult plain = run_chunk_det(dfa, text, starts);
+      EXPECT_EQ(merged.lambda, plain.lambda);
+      EXPECT_LT(merged.transitions, plain.transitions);
+    }
   }
 }
 

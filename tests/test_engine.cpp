@@ -117,12 +117,6 @@ TEST(Engine, ValidationRejectsUnsupportedKnobs) {
       engine.recognize(text, {.variant = Variant::kDfa, .convergence = true}));
   EXPECT_NO_THROW(
       engine.recognize(text, {.variant = Variant::kRid, .convergence = true}));
-  // Kernel selection follows the same split.
-  EXPECT_THROW(engine.recognize(text, {.variant = Variant::kNfa,
-                                       .kernel = DetKernel::kReference}),
-               QueryError);
-  EXPECT_NO_THROW(engine.recognize(text, {.variant = Variant::kRid,
-                                          .kernel = DetKernel::kReference}));
   // Look-back and tree-join: DFA device only.
   EXPECT_THROW(engine.recognize(text, {.variant = Variant::kRid, .lookback = 4}),
                QueryError);
@@ -145,7 +139,6 @@ TEST(Engine, ValidationRejectsUnsupportedKnobs) {
   }
   // Counting honors chunks + convergence, nothing else.
   EXPECT_NO_THROW(engine.count(text, {.chunks = 3, .convergence = true}));
-  EXPECT_THROW(engine.count(text, {.kernel = DetKernel::kReference}), QueryError);
   EXPECT_THROW(engine.count(text, {.lookback = 2}), QueryError);
   EXPECT_THROW(engine.count(text, {.tree_join = true}), QueryError);
 }
@@ -308,35 +301,30 @@ TEST_P(EngineEquivalence, StreamAnySegmentationMatchesOneShot) {
       const Device* device = engine.try_device(variant);
       if (device == nullptr) continue;  // SFA exploded
       for (const bool convergence : {false, true}) {
-        for (const DetKernel kernel :
-             {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
-          if (convergence && !device->capabilities().convergence) continue;
-          if (kernel != DetKernel::kFused && !device->capabilities().kernel_select)
-            continue;
-          const QueryOptions options{.variant = variant, .chunks = 3,
-                                     .convergence = convergence, .kernel = kernel};
-          const QueryResult one_shot = engine.recognize(input, options);
+        if (convergence && !device->capabilities().convergence) continue;
+        const QueryOptions options{.variant = variant, .chunks = 3,
+                                   .convergence = convergence};
+        const QueryResult one_shot = engine.recognize(input, options);
 
-          // Single window: decision AND transition count match one-shot.
-          StreamSession whole = engine.stream(options);
-          whole.feed(std::span<const Symbol>(input));
-          EXPECT_EQ(whole.accepted(), one_shot.accepted) << variant_name(variant);
-          EXPECT_EQ(whole.transitions(), one_shot.transitions)
-              << variant_name(variant) << " conv=" << convergence;
+        // Single window: decision AND transition count match one-shot.
+        StreamSession whole = engine.stream(options);
+        whole.feed(std::span<const Symbol>(input));
+        EXPECT_EQ(whole.accepted(), one_shot.accepted) << variant_name(variant);
+        EXPECT_EQ(whole.transitions(), one_shot.transitions)
+            << variant_name(variant) << " conv=" << convergence;
 
-          // Random segmentation: the decision is segmentation-invariant.
-          StreamSession session = engine.stream(options);
-          std::size_t offset = 0;
-          while (offset < input.size()) {
-            const std::size_t take =
-                std::min(input.size() - offset, 1 + prng.pick_index(25));
-            session.feed(std::span<const Symbol>(input.data() + offset, take));
-            offset += take;
-          }
-          EXPECT_EQ(session.accepted(), one_shot.accepted)
-              << variant_name(variant) << " conv=" << convergence
-              << " trial " << trial;
+        // Random segmentation: the decision is segmentation-invariant.
+        StreamSession session = engine.stream(options);
+        std::size_t offset = 0;
+        while (offset < input.size()) {
+          const std::size_t take =
+              std::min(input.size() - offset, 1 + prng.pick_index(25));
+          session.feed(std::span<const Symbol>(input.data() + offset, take));
+          offset += take;
         }
+        EXPECT_EQ(session.accepted(), one_shot.accepted)
+            << variant_name(variant) << " conv=" << convergence
+            << " trial " << trial;
       }
     }
   }

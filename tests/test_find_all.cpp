@@ -1,8 +1,9 @@
-// The find_all / PatternSet acceptance properties (ISSUE 3):
+// The find_all / PatternSet acceptance properties:
 //  * Engine::find positions == the naive serial reference scan for every
 //    variant (which find does not consult — looped anyway to prove it),
-//    chunk count {1, 2, 7, 64}, convergence on/off, and both kernels;
-//  * count(text).matches == find_all(text).size();
+//    chunk count {1, 2, 7, 64} and convergence on/off;
+//  * count(text).matches == find_all(text).size() — one chunk walker with
+//    two recorders — with equal transitions, for chunks 1..8;
 //  * offset/limit page the payload without changing the total;
 //  * PatternSet over N patterns == N independent Engine runs merged, while
 //    sharing one pool;
@@ -103,14 +104,18 @@ TEST(FindAll, PagingRejectedWhereNotHonored) {
 }
 
 // The acceptance matrix: positions equal the serial reference for every
-// variant (not consulted — proven by sweeping it), chunk count {1,2,7,64},
-// convergence on/off, and both kernels.
+// variant (not consulted — proven by sweeping it), chunk count {1,2,7,64}
+// and convergence on/off. Counting runs the same chunk walker with a hit
+// counter: count(t).matches == find_all(t).size() for chunks 1..8, and at
+// one chunk its transitions equal count_matches_serial's.
 class FindAllEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FindAllEquivalence, ParallelEqualsSerialOracleEverywhere) {
   Prng prng(GetParam());
+  // "<h3>ab</h3>" has a 12-state searcher: its speculative chunks keep 8+
+  // live runs, so the walker's gather step runs under both recorders.
   const std::vector<std::string> regexes{"ab", "aa", "(ab|ba)*a", "a(b|c)*d",
-                                         "<h3>"};
+                                         "<h3>", "<h3>ab</h3>"};
   const std::string& regex = regexes[prng.pick_index(regexes.size())];
   const Engine engine(Pattern::compile(regex), {.threads = 4});
 
@@ -127,18 +132,32 @@ TEST_P(FindAllEquivalence, ParallelEqualsSerialOracleEverywhere) {
        {Variant::kDfa, Variant::kNfa, Variant::kRid, Variant::kSfa}) {
     for (const std::size_t chunks : {1u, 2u, 7u, 64u}) {
       for (const bool convergence : {false, true}) {
-        for (const DetKernel kernel :
-             {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
-          const QueryResult result =
-              engine.find(text, {.variant = variant,
-                                 .chunks = chunks,
-                                 .convergence = convergence,
-                                 .kernel = kernel});
-          EXPECT_EQ(result.positions, oracle)
-              << "regex=" << regex << " text=" << text << " chunks=" << chunks
-              << " conv=" << convergence << " kernel=" << kernel_name(kernel);
-          EXPECT_EQ(result.matches, oracle.size());
-        }
+        const QueryResult result = engine.find(
+            text, {.variant = variant, .chunks = chunks, .convergence = convergence});
+        EXPECT_EQ(result.positions, oracle)
+            << "regex=" << regex << " text=" << text << " chunks=" << chunks
+            << " conv=" << convergence;
+        EXPECT_EQ(result.matches, oracle.size());
+      }
+    }
+  }
+
+  const Dfa& searcher = engine.searcher();
+  const QueryResult serial_count =
+      count_matches_serial(searcher, searcher.symbols().translate(text));
+  for (std::size_t chunks = 1; chunks <= 8; ++chunks) {
+    for (const bool convergence : {false, true}) {
+      const QueryOptions options{.chunks = chunks, .convergence = convergence};
+      const QueryResult counted = engine.count(text, options);
+      const QueryResult found = engine.find(text, options);
+      EXPECT_EQ(counted.matches, oracle.size())
+          << "regex=" << regex << " chunks=" << chunks << " conv=" << convergence;
+      EXPECT_EQ(counted.matches, found.positions.size());
+      EXPECT_EQ(counted.died, found.died);
+      EXPECT_EQ(counted.transitions, found.transitions)
+          << "regex=" << regex << " chunks=" << chunks << " conv=" << convergence;
+      if (chunks == 1) {
+        EXPECT_EQ(counted.transitions, serial_count.transitions);
       }
     }
   }
@@ -162,19 +181,13 @@ TEST(FindAll, WorkloadTextMatchesNaiveSubstringSearch) {
   EXPECT_EQ(matches, expected);
   EXPECT_GT(matches.size(), 0u);
 
-  // The same large text through every kernel/convergence/chunking — deep
-  // merge chains and chunk-boundary separators only show up at this size.
+  // The same large text through every convergence/chunking — deep merge
+  // chains and chunk-boundary separators only show up at this size.
   for (const std::size_t chunks : {16u, 64u}) {
     for (const bool convergence : {false, true}) {
-      for (const DetKernel kernel :
-           {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
-        EXPECT_EQ(engine.find_all(text, {.chunks = chunks,
-                                         .convergence = convergence,
-                                         .kernel = kernel}),
-                  expected)
-            << "chunks=" << chunks << " conv=" << convergence
-            << " kernel=" << kernel_name(kernel);
-      }
+      EXPECT_EQ(engine.find_all(text, {.chunks = chunks, .convergence = convergence}),
+                expected)
+          << "chunks=" << chunks << " conv=" << convergence;
     }
   }
 }
@@ -307,8 +320,8 @@ TEST(ConcurrentQueries, SharedPatternSetServesManyThreads) {
 
 TEST(ConcurrentQueries, MixedOptionsStressOnSharedEngineAndSet) {
   // The work-stealing shape: one Engine and one PatternSet sharing nothing
-  // but their pools, hammered from many threads with varying chunk counts,
-  // convergence and all three kernels at once — batches interleave in the
+  // but their pools, hammered from many threads with varying chunk counts
+  // and convergence at once — batches interleave in the
   // pools instead of queueing, and every answer must still be exact.
   const Engine engine(Pattern::compile("(ab|ba)*a"), {.threads = 3});
   const PatternSet set = PatternSet::compile({"ab", "aab", "<h3>"}, {.threads = 3});
@@ -324,13 +337,10 @@ TEST(ConcurrentQueries, MixedOptionsStressOnSharedEngineAndSet) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&, t] {
-      static constexpr DetKernel kKernels[] = {
-          DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd};
       for (int i = 0; i < 15; ++i) {
         const QueryOptions options{
             .chunks = static_cast<std::size_t>(1 + (t + i) % 16),
-            .convergence = (t + i) % 2 == 0,
-            .kernel = kKernels[(t + i) % 3]};
+            .convergence = (t + i) % 2 == 0};
         if (engine.find_all(text, options) != engine_expected) ++failures;
         if (set.find_all(text, options) != set_expected) ++failures;
       }

@@ -190,11 +190,11 @@ TEST_P(RidfaInvariants, StructuralInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RidfaInvariants, ::testing::Range<std::uint64_t>(0, 15));
 
 // ------------------------------------------------- differential fuzz driver
-// (ISSUE 4 acceptance): random regex × random text × random window splits;
-// streaming find must equal one-shot Engine::find AND the serial one-scan
-// oracle for every variant × chunks {1, 2, 7, 64} × convergence × kernel
-// the device admits, with absolute offsets stable across arbitrary window
-// boundaries — and the streamed DECISION must equal serial membership.
+// Random regex × random text × random window splits; streaming find must
+// equal one-shot Engine::find AND the serial one-scan oracle for every
+// variant × chunks {1, 2, 7, 64} × convergence the device admits, with
+// absolute offsets stable across arbitrary window boundaries — and the
+// streamed DECISION must equal serial membership.
 
 std::size_t fuzz_iterations(std::size_t fallback) {
   const char* env = std::getenv("RISPAR_FUZZ_ITERS");
@@ -226,8 +226,6 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
   static constexpr std::size_t kChunks[] = {1, 2, 7, 64};
   static constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa,
                                           Variant::kRid, Variant::kSfa};
-  static constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference,
-                                           DetKernel::kSimd};
 
   for (std::size_t iter = 0; iter < iters; ++iter) {
     RandomRegexConfig config;
@@ -245,62 +243,52 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
         find_matches_serial(searcher, searcher.symbols().translate(text));
     const bool oracle_accepts = engine.accepts(text);
 
-    // One-shot find across the full kernel matrix (variant not consulted).
+    // One-shot find across chunks × convergence (variant not consulted).
     for (const std::size_t chunks : kChunks) {
       for (const bool convergence : {false, true}) {
-        for (const DetKernel kernel : kKernels) {
-          const QueryResult one_shot = engine.find(
-              text,
-              {.chunks = chunks, .convergence = convergence, .kernel = kernel});
-          ASSERT_EQ(one_shot.positions, oracle.positions)
-              << "one-shot chunks=" << chunks << " conv=" << convergence
-              << " kernel=" << kernel_name(kernel);
-          ASSERT_EQ(one_shot.matches, oracle.matches);
-        }
+        const QueryResult one_shot =
+            engine.find(text, {.chunks = chunks, .convergence = convergence});
+        ASSERT_EQ(one_shot.positions, oracle.positions)
+            << "one-shot chunks=" << chunks << " conv=" << convergence;
+        ASSERT_EQ(one_shot.matches, oracle.matches);
       }
     }
 
-    // Streaming find: every variant × chunks × convergence × kernel the
-    // device's streaming caps admit, each under a fresh random window
-    // split, alternating the two drain shapes.
+    // Streaming find: every variant × chunks × convergence the device's
+    // streaming caps admit, each under a fresh random window split,
+    // alternating the two drain shapes.
     for (const Variant variant : kVariants) {
       if (engine.try_device(variant) == nullptr) continue;  // SFA explosion
       const DeviceCaps caps = engine.device(variant).stream_capabilities();
       for (const std::size_t chunks : kChunks) {
         for (const bool convergence : {false, true}) {
           if (convergence && !caps.convergence) continue;
-          for (const DetKernel kernel : kKernels) {
-            if (kernel != DetKernel::kFused && !caps.kernel_select) continue;
-            StreamSession stream = engine.stream({.variant = variant,
-                                                  .chunks = chunks,
-                                                  .convergence = convergence,
-                                                  .kernel = kernel,
-                                                  .positions = true});
-            std::vector<Match> collected;
-            const MatchSink sink = [&](const Match& m) { collected.push_back(m); };
-            const bool use_sink = prng.pick_index(2) == 0;
-            std::size_t offset = 0;
-            while (offset < text.size()) {
-              const std::size_t take =
-                  std::min(text.size() - offset, 1 + prng.pick_index(40));
-              const std::string_view window(text.data() + offset, take);
-              if (use_sink) {
-                stream.feed(window, sink);
-              } else {
-                stream.feed(window);
-                for (const Match& m : stream.take_matches()) collected.push_back(m);
-              }
-              offset += take;
+          StreamSession stream = engine.stream({.variant = variant,
+                                                .chunks = chunks,
+                                                .convergence = convergence,
+                                                .positions = true});
+          std::vector<Match> collected;
+          const MatchSink sink = [&](const Match& m) { collected.push_back(m); };
+          const bool use_sink = prng.pick_index(2) == 0;
+          std::size_t offset = 0;
+          while (offset < text.size()) {
+            const std::size_t take =
+                std::min(text.size() - offset, 1 + prng.pick_index(40));
+            const std::string_view window(text.data() + offset, take);
+            if (use_sink) {
+              stream.feed(window, sink);
+            } else {
+              stream.feed(window);
+              for (const Match& m : stream.take_matches()) collected.push_back(m);
             }
-            ASSERT_EQ(collected, oracle.positions)
-                << variant_name(variant) << " chunks=" << chunks
-                << " conv=" << convergence
-                << " kernel=" << kernel_name(kernel)
-                << " sink=" << use_sink;
-            ASSERT_EQ(stream.matches(), oracle.matches);
-            ASSERT_EQ(stream.accepted(), oracle_accepts) << variant_name(variant);
-            ASSERT_EQ(stream.bytes_consumed(), text.size());
+            offset += take;
           }
+          ASSERT_EQ(collected, oracle.positions)
+              << variant_name(variant) << " chunks=" << chunks
+              << " conv=" << convergence << " sink=" << use_sink;
+          ASSERT_EQ(stream.matches(), oracle.matches);
+          ASSERT_EQ(stream.accepted(), oracle_accepts) << variant_name(variant);
+          ASSERT_EQ(stream.bytes_consumed(), text.size());
         }
       }
     }
@@ -308,9 +296,9 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
 }
 
 // ---------------------------------------------- exact-begin differential fuzz
-// (ISSUE 9 tentpole a): under begin_mode=kExact, every emitted begin must be
-// the TRUE leftmost start — min{b : text[b..end) ∈ L(p)} — and the property
-// must hold identically for one-shot find (all chunk counts × kernels),
+// Under begin_mode=kExact, every emitted begin must be the TRUE leftmost
+// start — min{b : text[b..end) ∈ L(p)} — and the property must hold
+// identically for one-shot find (all chunk counts × convergence),
 // streaming find (all variants × chunk counts × random window splits) and
 // the serial reverse-scan oracle. A brute-force membership sweep over every
 // candidate begin gives a fully independent second oracle on short texts.
@@ -331,8 +319,6 @@ TEST(ExactBeginFuzz, ExactBeginsEqualAcrossAllPathsAndOracles) {
   static constexpr std::size_t kChunks[] = {1, 2, 7, 64};
   static constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa,
                                           Variant::kRid, Variant::kSfa};
-  static constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference,
-                                           DetKernel::kSimd};
 
   for (std::size_t iter = 0; iter < iters; ++iter) {
     RandomRegexConfig config;
@@ -371,14 +357,14 @@ TEST(ExactBeginFuzz, ExactBeginsEqualAcrossAllPathsAndOracles) {
           << "end=" << exact.end << " separators_sound=" << reverse.separators_sound;
     }
 
-    // One-shot exact find across the chunk × kernel matrix.
+    // One-shot exact find across the chunk × convergence matrix.
     for (const std::size_t chunks : kChunks) {
-      for (const DetKernel kernel : kKernels) {
+      for (const bool convergence : {false, true}) {
         const QueryResult one_shot =
-            engine.find(text, {.chunks = chunks, .kernel = kernel,
+            engine.find(text, {.chunks = chunks, .convergence = convergence,
                                .begin_mode = BeginMode::kExact});
         ASSERT_EQ(one_shot.positions, exact_oracle.positions)
-            << "one-shot chunks=" << chunks << " kernel=" << kernel_name(kernel);
+            << "one-shot chunks=" << chunks << " conv=" << convergence;
       }
     }
 

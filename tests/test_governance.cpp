@@ -4,7 +4,7 @@
 //
 // The determinism anchors: a pre-cancelled token and an already-elapsed
 // deadline MUST trip at the first chunk-boundary poll (the top of every
-// pool task), on every variant, kernel and query shape — no sleeps, no
+// pool task), on every variant and query shape — no sleeps, no
 // timing assumptions. The non-interference property: a governed run that
 // completes returns bit-identical results to the ungoverned run.
 #include <gtest/gtest.h>
@@ -32,14 +32,6 @@ using namespace std::chrono_literals;
 constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa, Variant::kRid,
                                  Variant::kSfa};
 
-/// Kernels a variant's device accepts (NFA/SFA run no deterministic kernel
-/// and reject a non-default --kernel, so their row is just kFused).
-std::vector<DetKernel> kernels_for(const Engine& engine, Variant variant) {
-  if (engine.device(variant).capabilities().kernel_select)
-    return {DetKernel::kFused, DetKernel::kSimd, DetKernel::kReference};
-  return {DetKernel::kFused};
-}
-
 CancelToken cancelled_token() {
   CancelSource source;
   source.request_cancel();
@@ -60,12 +52,10 @@ TEST(Governance, PreCancelledTokenTripsEveryVariantAndKernel) {
   const Engine engine(Pattern::compile("(ab|ba)*"), {.threads = 2});
   const std::vector<Symbol> input = engine.translate(std::string(4096, 'a'));
   for (const Variant variant : kVariants) {
-    for (const DetKernel kernel : kernels_for(engine, variant)) {
-      QueryOptions options{.variant = variant, .chunks = 7, .kernel = kernel};
-      options.cancel = cancelled_token();
-      EXPECT_THROW(engine.recognize(input, options), QueryCancelled)
-          << variant_name(variant) << "/" << kernel_name(kernel);
-    }
+    QueryOptions options{.variant = variant, .chunks = 7};
+    options.cancel = cancelled_token();
+    EXPECT_THROW(engine.recognize(input, options), QueryCancelled)
+        << variant_name(variant);
   }
 }
 
@@ -73,12 +63,10 @@ TEST(Governance, ElapsedDeadlineTripsEveryVariantAndKernel) {
   const Engine engine(Pattern::compile("(ab|ba)*"), {.threads = 2});
   const std::vector<Symbol> input = engine.translate(std::string(4096, 'a'));
   for (const Variant variant : kVariants) {
-    for (const DetKernel kernel : kernels_for(engine, variant)) {
-      QueryOptions options{.variant = variant, .chunks = 7, .kernel = kernel};
-      options.deadline = 1ns;  // elapsed before the first chunk task polls
-      EXPECT_THROW(engine.recognize(input, options), DeadlineExceeded)
-          << variant_name(variant) << "/" << kernel_name(kernel);
-    }
+    QueryOptions options{.variant = variant, .chunks = 7};
+    options.deadline = 1ns;  // elapsed before the first chunk task polls
+    EXPECT_THROW(engine.recognize(input, options), DeadlineExceeded)
+        << variant_name(variant);
   }
 }
 
@@ -133,13 +121,10 @@ TEST(Governance, MatchAllAndPatternSetHonorGovernance) {
 TEST(Governance, StreamingFeedTripsPerFeed) {
   const Engine engine(Pattern::compile("(ab|ba)*"), {.threads = 2});
   for (const Variant variant : kVariants) {
-    for (const DetKernel kernel : kernels_for(engine, variant)) {
-      QueryOptions options{.variant = variant, .chunks = 3, .kernel = kernel};
-      options.deadline = 1ns;
-      StreamSession stream = engine.stream(options);
-      EXPECT_THROW(stream.feed("abbaabba"), DeadlineExceeded)
-          << variant_name(variant) << "/" << kernel_name(kernel);
-    }
+    QueryOptions options{.variant = variant, .chunks = 3};
+    options.deadline = 1ns;
+    StreamSession stream = engine.stream(options);
+    EXPECT_THROW(stream.feed("abbaabba"), DeadlineExceeded) << variant_name(variant);
   }
 }
 
@@ -226,9 +211,9 @@ TEST(Governance, MaxHistoryBytesGovernsMultiStreamSessions) {
 
 // A governed run that completes is indistinguishable from the ungoverned
 // run: same decision, same transition counts, same positions. This is the
-// fuzz-style sweep of the acceptance criteria — every variant × applicable
-// kernel × one-shot and streaming, on random inputs long enough that the
-// in-kernel stride polls actually execute (length ≫ kGovernorStride).
+// fuzz-style sweep of the acceptance criteria — every variant × one-shot
+// and streaming, on random inputs long enough that the in-kernel stride
+// polls actually execute (length ≫ kGovernorStride).
 TEST(Governance, GovernedRunThatCompletesEqualsUngoverned) {
   const CancelSource live;  // never cancelled
   Prng prng(0xC0FFEEu);
@@ -237,35 +222,30 @@ TEST(Governance, GovernedRunThatCompletesEqualsUngoverned) {
       testing::random_word(prng, 3, 3 * kGovernorStride + 17);
 
   for (const Variant variant : kVariants) {
-    for (const DetKernel kernel : kernels_for(engine, variant)) {
-      for (const std::size_t chunks : {1u, 2u, 7u}) {
-        const QueryOptions plain{.variant = variant, .chunks = chunks,
-                                 .kernel = kernel};
-        const QueryOptions governed = never_trips(plain, live);
-        const QueryResult expected = engine.recognize(input, plain);
-        const QueryResult actual = engine.recognize(input, governed);
-        EXPECT_EQ(expected.accepted, actual.accepted)
-            << variant_name(variant) << "/" << kernel_name(kernel)
-            << " chunks=" << chunks;
-        EXPECT_EQ(expected.transitions, actual.transitions)
-            << variant_name(variant) << "/" << kernel_name(kernel)
-            << " chunks=" << chunks;
+    for (const std::size_t chunks : {1u, 2u, 7u}) {
+      const QueryOptions plain{.variant = variant, .chunks = chunks};
+      const QueryOptions governed = never_trips(plain, live);
+      const QueryResult expected = engine.recognize(input, plain);
+      const QueryResult actual = engine.recognize(input, governed);
+      EXPECT_EQ(expected.accepted, actual.accepted)
+          << variant_name(variant) << " chunks=" << chunks;
+      EXPECT_EQ(expected.transitions, actual.transitions)
+          << variant_name(variant) << " chunks=" << chunks;
 
-        // Streaming: same window segmentation, governed vs not.
-        StreamSession a = engine.stream(plain);
-        StreamSession b = engine.stream(governed);
-        std::size_t pos = 0;
-        while (pos < input.size()) {
-          const std::size_t len =
-              std::min<std::size_t>(1 + prng.pick_index(9000), input.size() - pos);
-          const std::span<const Symbol> window(input.data() + pos, len);
-          a.feed(window);
-          b.feed(window);
-          pos += len;
-        }
-        EXPECT_EQ(a.accepted(), b.accepted()) << variant_name(variant);
-        EXPECT_EQ(a.transitions(), b.transitions()) << variant_name(variant);
+      // Streaming: same window segmentation, governed vs not.
+      StreamSession a = engine.stream(plain);
+      StreamSession b = engine.stream(governed);
+      std::size_t pos = 0;
+      while (pos < input.size()) {
+        const std::size_t len =
+            std::min<std::size_t>(1 + prng.pick_index(9000), input.size() - pos);
+        const std::span<const Symbol> window(input.data() + pos, len);
+        a.feed(window);
+        b.feed(window);
+        pos += len;
       }
+      EXPECT_EQ(a.accepted(), b.accepted()) << variant_name(variant);
+      EXPECT_EQ(a.transitions(), b.transitions()) << variant_name(variant);
     }
   }
 }
@@ -279,26 +259,50 @@ TEST(Governance, GovernedFindEqualsUngoverned) {
   for (std::size_t i = 0; i < 2 * kGovernorStride; ++i)
     text.push_back("ab x"[prng.pick_index(4)]);
 
-  for (const DetKernel kernel :
-       {DetKernel::kFused, DetKernel::kSimd, DetKernel::kReference}) {
-    const QueryOptions plain{.chunks = 7, .kernel = kernel};
+  for (const bool convergence : {false, true}) {
+    const QueryOptions plain{.chunks = 7, .convergence = convergence};
     const QueryOptions governed = never_trips(plain, live);
     const QueryResult expected = engine.find(text, plain);
     const QueryResult actual = engine.find(text, governed);
-    EXPECT_EQ(expected.matches, actual.matches) << kernel_name(kernel);
-    ASSERT_EQ(expected.positions.size(), actual.positions.size())
-        << kernel_name(kernel);
-    for (std::size_t i = 0; i < expected.positions.size(); ++i) {
-      EXPECT_EQ(expected.positions[i].begin, actual.positions[i].begin);
-      EXPECT_EQ(expected.positions[i].end, actual.positions[i].end);
+    EXPECT_EQ(expected.matches, actual.matches) << "conv=" << convergence;
+    EXPECT_EQ(expected.transitions, actual.transitions) << "conv=" << convergence;
+    EXPECT_EQ(expected.positions, actual.positions) << "conv=" << convergence;
+
+    const QueryResult counted = engine.count(text, plain);
+    const QueryResult counted_governed = engine.count(text, governed);
+    EXPECT_EQ(counted.matches, counted_governed.matches) << "conv=" << convergence;
+    EXPECT_EQ(counted.transitions, counted_governed.transitions)
+        << "conv=" << convergence;
+  }
+}
+
+// The chunk walker polls at its block boundaries in every band of its
+// live-count choice. Called directly (no pool task, so no chunk-boundary
+// poll), a pre-cancelled governor can only trip from inside the walk:
+// 16 live runs take the gather step, 4 the scalar column loop, 1 the
+// lone-run loop — on a cycle automaton where every run survives the whole
+// 3-stride chunk, so the count stays in its band until the first poll.
+TEST(Governance, ChunkWalkerTripsInEveryStep) {
+  Dfa cycle = Dfa::with_identity_alphabet(1);
+  for (State s = 0; s < 64; ++s) cycle.add_state(false);
+  cycle.set_initial(0);
+  for (State s = 0; s < 64; ++s) cycle.set_transition(s, 0, (s + 1) % 64);
+  const std::vector<Symbol> chunk(3 * kGovernorStride, 0);
+  const QueryGovernor tripped(std::chrono::nanoseconds{0}, cancelled_token());
+  for (const std::size_t live : {16u, 4u, 1u}) {
+    std::vector<State> starts;
+    for (std::size_t i = 0; i < live; ++i) starts.push_back(static_cast<State>(3 * i));
+    for (const bool convergence : {false, true}) {
+      EXPECT_THROW(run_chunk_det(cycle, chunk, starts,
+                                 {.convergence = convergence, .governor = &tripped}),
+                   QueryCancelled)
+          << live << " live, conv=" << convergence;
+      // The same walk without the governor completes with every run alive.
+      EXPECT_EQ(run_chunk_det(cycle, chunk, starts, {.convergence = convergence})
+                    .lambda.size(),
+                live);
     }
   }
-
-  // count() has no kernel knob (kCountingCaps) — compare it once, governed
-  // vs not, on the default options.
-  const QueryOptions plain{.chunks = 7};
-  EXPECT_EQ(engine.count(text, plain).matches,
-            engine.count(text, never_trips(plain, live)).matches);
 }
 
 // ------------------------------------------------------- admission control

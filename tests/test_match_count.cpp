@@ -62,9 +62,6 @@ TEST(MatchCount, UnsupportedKnobsRaiseQueryError) {
   bad = counting(2);
   bad.tree_join = true;
   EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
-  bad = counting(2);
-  bad.kernel = DetKernel::kReference;
-  EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
 }
 
 TEST(MatchCount, ConvergenceSavesTransitionsOnTotalMachines) {
@@ -118,10 +115,13 @@ TEST(MatchCount, CountsTitlesInBibleText) {
 
 class MatchCountProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The satellite property: parallel == serial counts on random machines,
-// with run convergence ON and off, across random chunkings. On partial
-// machines convergent groups die together; the per-start totals must still
-// reconstruct exactly through the merge tree.
+// Parallel == serial counts on random machines, with run convergence ON
+// and off, across chunk counts 1..8. On partial machines runs die (the
+// serial oracle reports died) and convergent groups die together; the
+// per-start totals must still reconstruct exactly through the merge
+// forest. Finding is the same walker with a hit list, so it must report
+// the same count, death and transitions — and at one chunk both equal the
+// serial scan's transitions.
 TEST_P(MatchCountProperty, ParallelEqualsSerialOnRandomMachines) {
   Prng prng(GetParam());
   ThreadPool pool(4);
@@ -134,14 +134,24 @@ TEST_P(MatchCountProperty, ParallelEqualsSerialOnRandomMachines) {
     const auto input =
         testing::random_word(prng, dfa.num_symbols(), 1 + prng.pick_index(100));
     const QueryResult serial = count_matches_serial(dfa, input);
-    const std::size_t chunks = 1 + prng.pick_index(9);
-    for (const bool convergence : {false, true}) {
-      const QueryResult parallel =
-          count_matches(dfa, input, pool, counting(chunks, convergence));
-      EXPECT_EQ(parallel.matches, serial.matches)
-          << "chunks=" << chunks << " conv=" << convergence;
-      EXPECT_EQ(parallel.died, serial.died)
-          << "chunks=" << chunks << " conv=" << convergence;
+    for (std::size_t chunks = 1; chunks <= 8; ++chunks) {
+      for (const bool convergence : {false, true}) {
+        const QueryOptions options = counting(chunks, convergence);
+        const QueryResult parallel = count_matches(dfa, input, pool, options);
+        EXPECT_EQ(parallel.matches, serial.matches)
+            << "chunks=" << chunks << " conv=" << convergence;
+        EXPECT_EQ(parallel.died, serial.died)
+            << "chunks=" << chunks << " conv=" << convergence;
+        const QueryResult found = find_matches(dfa, input, pool, options);
+        EXPECT_EQ(found.matches, parallel.matches);
+        EXPECT_EQ(found.positions.size(), parallel.matches);
+        EXPECT_EQ(found.died, parallel.died);
+        EXPECT_EQ(found.transitions, parallel.transitions)
+            << "chunks=" << chunks << " conv=" << convergence;
+        if (chunks == 1) {
+          EXPECT_EQ(parallel.transitions, serial.transitions);
+        }
+      }
     }
   }
 }

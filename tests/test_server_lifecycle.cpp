@@ -358,11 +358,13 @@ TEST(RispardDrain, StopDrainDeliversResumableCheckpointsThenCloses) {
     EXPECT_EQ(drained[1].session_id, kNoSession);
     blob = drained[0].blob;
 
+    // The server settles its gauges before writing the terminal frame, so
+    // they read zero here even while run() is still closing the socket.
     const ServerCounters counters = harness.server->counters();
     EXPECT_TRUE(counters.draining);
     EXPECT_EQ(counters.sessions_open, 0u);
     EXPECT_EQ(counters.connections_open, 0u);
-  }  // run() has already returned; the dtor's stop() is a no-op
+  }  // the dtor joins run(); its stop() is a no-op
 
   // The DRAINING blob resumes on a brand-new server, byte-exact.
   ServerHarness next({"(ab)+"}, {});

@@ -1,13 +1,15 @@
-// The gather backends behind DetKernel::kSimd (util/simd_gather.hpp): the
-// AVX2 vpgatherdd path and the portable unrolled fallback must agree with
-// each other and with a naive scalar loop for every table width, index
-// pattern and block length (including the <8 and <4 tails), and the
-// runtime dispatch must pick a backend consistent with util/cpuid.hpp.
+// The gather backends behind the chunk walker's gather step
+// (util/simd_gather.hpp): the AVX2 vpgatherdd path and the portable
+// unrolled fallback must agree with each other and with a naive scalar loop
+// for every table width, index pattern and block length (including the <8
+// and <4 tails), and the runtime dispatch must pick a backend consistent
+// with util/cpuid.hpp.
 #include "util/simd_gather.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "automata/packed_table.hpp"
@@ -48,7 +50,8 @@ void expect_backend_matches_naive(const simd::GatherOps& ops, Prng& prng) {
 }
 
 template <typename T>
-void expect_advance_span_matches_naive(const simd::GatherOps& ops, Prng& prng) {
+void expect_advance_span_matches_naive(const simd::GatherOps& ops, Prng& prng,
+                                       std::size_t min_live) {
   // A little 2-symbol table (num_states × 2) with ~1/4 dead entries, plus
   // the build-time tail slack.
   constexpr std::size_t kStates = 150;
@@ -70,13 +73,13 @@ void expect_advance_span_matches_naive(const simd::GatherOps& ops, Prng& prng) {
     state[n - 1] = static_cast<std::int32_t>(kStates - 1);  // over-read hazard
 
     // The naive span loop this must equal lane for lane: advance+compact
-    // per symbol, stop after the symbol that leaves <= 1 survivor.
+    // per symbol, stop after the symbol that leaves < min_live survivors.
     std::vector<std::int32_t> expected_state = state;
     std::vector<std::uint32_t> expected_origin = origin;
     std::uint64_t expected_transitions = 0;
     std::size_t expected_live = n;
     std::size_t expected_consumed = 0;
-    while (expected_consumed < symbols.size() && expected_live > 1) {
+    while (expected_consumed < symbols.size() && expected_live >= min_live) {
       const T* col = entries.data() +
                      static_cast<std::size_t>(symbols[expected_consumed]) * kStates;
       std::size_t write = 0;
@@ -97,37 +100,46 @@ void expect_advance_span_matches_naive(const simd::GatherOps& ops, Prng& prng) {
     std::uint64_t transitions = 0;
     const std::size_t consumed =
         advance(entries.data(), kStates, symbols.data(), symbols.size(),
-                state.data(), origin.data(), live, transitions);
-    ASSERT_EQ(consumed, expected_consumed) << ops.backend << " n=" << n;
-    ASSERT_EQ(live, expected_live) << ops.backend << " n=" << n;
-    ASSERT_EQ(transitions, expected_transitions) << ops.backend << " n=" << n;
+                state.data(), origin.data(), live, transitions, min_live);
+    SCOPED_TRACE(std::string(ops.backend) + " n=" + std::to_string(n) +
+                 " min_live=" + std::to_string(min_live));
+    ASSERT_EQ(consumed, expected_consumed);
+    ASSERT_EQ(live, expected_live);
+    ASSERT_EQ(transitions, expected_transitions);
     for (std::size_t i = 0; i < live; ++i) {
-      ASSERT_EQ(state[i], expected_state[i]) << ops.backend << " n=" << n;
-      ASSERT_EQ(origin[i], expected_origin[i]) << ops.backend << " n=" << n;
+      ASSERT_EQ(state[i], expected_state[i]);
+      ASSERT_EQ(origin[i], expected_origin[i]);
     }
+  }
+}
+
+// min_live 8 is the chunk walker's gather band; 2 runs the span down to the
+// last pair.
+void expect_advance_span_all_widths(const simd::GatherOps& ops, Prng& prng) {
+  for (const std::size_t min_live : {2u, 8u}) {
+    expect_advance_span_matches_naive<std::uint8_t>(ops, prng, min_live);
+    expect_advance_span_matches_naive<std::uint16_t>(ops, prng, min_live);
+    expect_advance_span_matches_naive<std::int32_t>(ops, prng, min_live);
   }
 }
 
 TEST(SimdGather, AdvanceSpanPortableMatchesNaive) {
   Prng prng(21);
-  expect_advance_span_matches_naive<std::uint8_t>(simd::portable_gather_ops(), prng);
-  expect_advance_span_matches_naive<std::uint16_t>(simd::portable_gather_ops(), prng);
-  expect_advance_span_matches_naive<std::int32_t>(simd::portable_gather_ops(), prng);
+  expect_advance_span_all_widths(simd::portable_gather_ops(), prng);
 }
 
 TEST(SimdGather, AdvanceSpanAvx2MatchesNaiveWhenPresent) {
   if (!cpu_has_avx2() || simd::avx2_gather_ops() == nullptr)
     GTEST_SKIP() << "no AVX2 backend in this build/machine";
   Prng prng(22);
-  expect_advance_span_matches_naive<std::uint8_t>(*simd::avx2_gather_ops(), prng);
-  expect_advance_span_matches_naive<std::uint16_t>(*simd::avx2_gather_ops(), prng);
-  expect_advance_span_matches_naive<std::int32_t>(*simd::avx2_gather_ops(), prng);
+  expect_advance_span_all_widths(*simd::avx2_gather_ops(), prng);
 }
 
 template <typename T>
 void expect_in_place_gather_works(const simd::GatherOps& ops, Prng& prng) {
-  // The convergent/find kernels gather with out == idx; every backend must
-  // read a lane's index before writing its slot.
+  // The walker's gather step gathers with out == idx when it records or
+  // converges; every backend must read a lane's index before writing its
+  // slot.
   constexpr std::size_t kColumn = 120;
   std::vector<T> column(kColumn + kGatherSlackEntries, PackedDead<T>::value);
   for (std::size_t s = 0; s < kColumn; ++s)

@@ -2,11 +2,11 @@
 """Compare two google-benchmark JSON files and fail on throughput regressions.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [--threshold 0.15]
-                        [--series fused,simd]
+                        [--series walker]
 
-The guarded series are the production kernels (benchmark labels containing
-"fused" or "simd" by default); the reference/oracle series are informational
-only, so a slow oracle never blocks a PR. Benchmarks are matched by
+The guarded series are the production chunk walker's rows (benchmark labels
+containing "walker" by default); the reference/oracle series are
+informational only, so a slow oracle never blocks a PR. Benchmarks are matched by
 name+label; entries present on only one side are reported and skipped (new
 benchmarks have no baseline yet, retired ones no longer matter). The metric
 is bytes_per_second when both sides report it, else 1/real_time. Entries
@@ -43,7 +43,7 @@ def load(path):
 
 def series_key(entry):
     # name already encodes the Args; the label carries the human series tag
-    # (e.g. "independent/simd"), which distinguishes relabeled runs.
+    # (e.g. "independent/walker"), which distinguishes relabeled runs.
     return (entry.get("name", ""), entry.get("label", ""))
 
 
@@ -68,9 +68,9 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="maximum allowed fractional throughput drop "
                              "in a guarded series (default 0.15)")
-    parser.add_argument("--series", default="fused,simd",
+    parser.add_argument("--series", default="walker",
                         help="comma-separated substrings of guarded series "
-                             "labels (default: fused,simd)")
+                             "labels (default: walker)")
     args = parser.parse_args()
     tags = [tag.strip().lower() for tag in args.series.split(",") if tag.strip()]
 

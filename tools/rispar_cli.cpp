@@ -42,17 +42,16 @@ const char* const kUsage =
     "  rispar compile <pattern>\n"
     "  rispar match <pattern> <file|-> [--variant dfa|nfa|rid|sfa|all]\n"
     "               [--chunks N] [--threads N] [--convergence]\n"
-    "               [--kernel fused|simd|reference] [--timeout-ms N]\n"
+    "               [--timeout-ms N]\n"
     "  rispar count <pattern> <file|-> [--chunks N] [--convergence]\n"
     "               [--timeout-ms N]\n"
     "  rispar find <pattern> <file|-> [--positions] [--chunks N] [--threads N]\n"
-    "              [--convergence] [--kernel fused|simd|reference]\n"
-    "              [--offset N] [--limit N] [--timeout-ms N] [--exact-begins]\n"
+    "              [--convergence] [--offset N] [--limit N] [--timeout-ms N]\n"
+    "              [--exact-begins]\n"
     "  rispar find --patterns <patterns-file> <file|-> [same flags]\n"
     "  rispar find <pattern|--patterns FILE> <file|-> --stream\n"
     "              [--window BYTES] [--positions] [--chunks N] [--threads N]\n"
-    "              [--convergence] [--kernel fused|simd|reference]\n"
-    "              [--timeout-ms N] [--exact-begins]\n"
+    "              [--convergence] [--timeout-ms N] [--exact-begins]\n"
     "  rispar export <pattern> [--machine nfa|dfa|ridfa] [--format native|timbuk]\n"
     "  rispar gen <benchmark> <bytes> [--seed N]\n"
     "  rispar bench-list\n"
@@ -73,14 +72,10 @@ const char* const kUsage =
     "moves, the reported total does not. A patterns file holds one regex\n"
     "per line.\n"
     "\n"
-    "--kernel picks the deterministic chunk-kernel implementation: 'fused'\n"
-    "(default) is the scalar lockstep loop on the width-packed tables,\n"
-    "'simd' advances all live runs per symbol through vector gathers (AVX2\n"
-    "when the CPU has it, a portable unrolled loop otherwise — detected at\n"
-    "runtime, so 'simd' works on any machine), and 'reference' is the seed\n"
-    "oracle implementation. All three return identical results; variants\n"
-    "that run no deterministic kernel (nfa, sfa) reject a non-default\n"
-    "choice. count has one counting kernel and takes no --kernel.\n"
+    "match (dfa, rid), count and find run one chunk walker. It picks its\n"
+    "step from the number of live speculative runs: vector gathers from 8\n"
+    "live runs on (AVX2 when the CPU has it, a portable unrolled loop\n"
+    "otherwise), a scalar loop below that. There is nothing to choose.\n"
     "\n"
     "--stream reads the input in windows of at most --window bytes (default\n"
     "64 KiB) through a streaming-find session: at no point does the whole\n"
@@ -137,25 +132,6 @@ std::chrono::nanoseconds parse_timeout_flag(int argc, char** argv) {
   return std::chrono::milliseconds(std::strtoull(value.c_str(), nullptr, 10));
 }
 
-/// Parses --kernel (default: fused). Returns false after printing the
-/// error when the value is unknown. 'simd' is always accepted — hardware
-/// without AVX2 runs the portable fallback, picked at runtime.
-bool parse_kernel_flag(int argc, char** argv, DetKernel& kernel) {
-  const std::string value = flag_value(argc, argv, "--kernel", "fused");
-  if (value == "fused") {
-    kernel = DetKernel::kFused;
-  } else if (value == "simd") {
-    kernel = DetKernel::kSimd;
-  } else if (value == "reference") {
-    kernel = DetKernel::kReference;
-  } else {
-    std::fprintf(stderr, "rispar: unknown kernel '%s' (fused|simd|reference)\n",
-                 value.c_str());
-    return false;
-  }
-  return true;
-}
-
 int cmd_compile(const std::string& pattern_text) {
   const Pattern pattern = Pattern::compile(pattern_text);
   std::printf("pattern              : %s\n", pattern_text.c_str());
@@ -199,8 +175,6 @@ int cmd_match(const std::string& pattern_text, const std::string& path, int argc
   const auto threads = static_cast<unsigned>(
       std::strtoul(flag_value(argc, argv, "--threads", "0").c_str(), nullptr, 10));
   const bool convergence = flag_present(argc, argv, "--convergence");
-  DetKernel kernel = DetKernel::kFused;
-  if (!parse_kernel_flag(argc, argv, kernel)) return 2;
 
   const Engine engine(Pattern::compile(pattern_text), {.threads = threads});
   const std::vector<Symbol> input = engine.translate(text);
@@ -235,26 +209,17 @@ int cmd_match(const std::string& pattern_text, const std::string& path, int argc
       continue;
     }
     QueryOptions options{.variant = variant, .chunks = chunks,
-                         .convergence = convergence, .kernel = kernel};
+                         .convergence = convergence};
     options.deadline = parse_timeout_flag(argc, argv);
-    // A single requested variant that cannot honor --convergence or
-    // --kernel rejects (QueryError, exit 2). In the `all` sweep, drop the
-    // knob per variant with an explicit note so rows are never silently
-    // mislabeled.
+    // A single requested variant that cannot honor --convergence rejects
+    // (QueryError, exit 2). In the `all` sweep, drop the knob per variant
+    // with an explicit note so rows are never silently mislabeled.
     if (convergence && sweeping_all &&
         !engine.device(variant).capabilities().convergence) {
       std::fprintf(stderr, "rispar: note: %s does not support --convergence; "
                            "running it without\n",
                    variant_name(variant));
       options.convergence = false;
-    }
-    if (kernel != DetKernel::kFused && sweeping_all &&
-        !engine.device(variant).capabilities().kernel_select) {
-      std::fprintf(stderr,
-                   "rispar: note: %s runs no deterministic kernel; ignoring "
-                   "--kernel %s for it\n",
-                   variant_name(variant), kernel_name(kernel));
-      options.kernel = DetKernel::kFused;
     }
     Stopwatch clock;
     const QueryResult result = engine.recognize(input, options);
@@ -316,7 +281,6 @@ int cmd_find_stream(const std::vector<std::string>& pattern_texts, bool multi,
   options.chunks = static_cast<std::size_t>(
       std::strtoul(flag_value(argc, argv, "--chunks", "16").c_str(), nullptr, 10));
   options.convergence = flag_present(argc, argv, "--convergence");
-  if (!parse_kernel_flag(argc, argv, options.kernel)) return 2;
   if (flag_present(argc, argv, "--exact-begins"))
     options.begin_mode = BeginMode::kExact;
   // Per-feed deadline: each window must join within the budget.
@@ -453,7 +417,6 @@ int cmd_find(int argc, char** argv) {
   options.chunks = static_cast<std::size_t>(
       std::strtoul(flag_value(argc, argv, "--chunks", "16").c_str(), nullptr, 10));
   options.convergence = flag_present(argc, argv, "--convergence");
-  if (!parse_kernel_flag(argc, argv, options.kernel)) return 2;
   if (flag_present(argc, argv, "--exact-begins"))
     options.begin_mode = BeginMode::kExact;
   options.deadline = parse_timeout_flag(argc, argv);
