@@ -2,7 +2,7 @@
 // fed window by window against the one-shot find_matches scan of the same
 // text, across window size × chunk fan-out × convergence. The interesting
 // trade-off is window sizing: each window pays one serialized join plus,
-// for every chunk past the first, speculation from all searcher states —
+// for every chunk past the first, the look-back probe of its boundary —
 // small windows amortize badly, large windows delay emission (docs/perf.md,
 // "Streaming find"). Every row runs on the pool, so every row reports
 // wall-clock throughput with process CPU time as a side counter

@@ -86,7 +86,6 @@ DetChunkResult reference_convergent(const Dfa& dfa, std::span<const Symbol> chun
     members.resize(write);
   }
 
-  result.distinct_ends = group_state;
   // Emit λ in `starts` order for deterministic output.
   std::unordered_map<State, State> end_of;
   for (std::size_t g = 0; g < group_state.size(); ++g)
@@ -113,14 +112,11 @@ DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
   result.transitions = forest.transitions;
   result.lambda.reserve(starts.size());
   // Emit λ in `starts` order. A merged start takes its parent's end, which
-  // ascending order has already resolved to the root's; the surviving
-  // roots, in node order, are the convergent groups' distinct ends.
+  // ascending order has already resolved to the root's.
   for (std::size_t i = 0; i < starts.size(); ++i) {
     State& end = forest.end[i];
     if (forest.parent[i] >= 0)
       end = forest.end[static_cast<std::size_t>(forest.parent[i])];
-    else if (options.convergence && end != kDeadState)
-      result.distinct_ends.push_back(end);
     if (end != kDeadState) result.lambda.emplace_back(starts[i], end);
   }
   return result;

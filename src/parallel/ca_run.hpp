@@ -22,8 +22,8 @@
 //  * an out-of-alphabet symbol kills every run without being counted;
 //  * the NFA frontier simulation counts every edge traversal (each element
 //    of ρ(s, a) applied to each frontier member);
-//  * look-back probe runs (csdpa.cpp) are real speculative work and are
-//    added to the chunk's count.
+//  * look-back probe runs (lookback_seeds, parallel/chunk_walker.hpp) are
+//    real speculative work and are added to the chunk's count.
 //
 // ## One walker
 //
@@ -57,12 +57,6 @@ namespace rispar {
 struct DetChunkResult {
   /// (start, end) pairs of surviving runs, in `starts` order.
   std::vector<std::pair<State, State>> lambda;
-  /// Distinct end states of the surviving runs, in group-creation order —
-  /// populated under convergence only (where the surviving groups
-  /// carry exactly this set for free). Consumers that need the deduplicated
-  /// λ image (e.g. the look-back path of DfaDevice) read it directly
-  /// instead of re-sorting lambda.
-  std::vector<State> distinct_ends;
   std::uint64_t transitions = 0;
 };
 

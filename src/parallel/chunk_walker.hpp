@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -286,5 +287,38 @@ WalkForest walk_chunk(const Dfa& dfa, std::span<const Symbol> chunk,
   return walker_detail::walk_width<std::int32_t>(table, chunk, starts, convergence,
                                                  record, gov);
 }
+
+/// The one look-back probe (Yang & Prasanna [28], the paper's Sect. 5), for
+/// count and find chunks after the first and the DFA device's `lookback`:
+/// advances every state of `dfa` over the `lookback` symbols before
+/// text[boundary] (fewer near the text start) in one convergent walk and
+/// returns the distinct live end states, ascending; the probe's transitions
+/// are added to `transitions` (speculative work, parallel/ca_run.hpp). The
+/// serial run crosses the same symbols, so whenever it is alive at the
+/// boundary its state is among the seeds: seeding a chunk from them never
+/// changes a result, only how many runs speculate.
+inline std::vector<State> lookback_seeds(const Dfa& dfa, std::span<const Symbol> text,
+                                         std::size_t boundary, std::size_t lookback,
+                                         std::uint64_t& transitions,
+                                         const QueryGovernor* gov) {
+  const std::size_t length = std::min(lookback, boundary);
+  std::vector<State> all(static_cast<std::size_t>(dfa.num_states()));
+  std::iota(all.begin(), all.end(), 0);
+  NoRecord none;
+  const WalkForest forest = walk_chunk(dfa, text.subspan(boundary - length, length), all,
+                                       /*convergence=*/true, none, gov);
+  transitions += forest.transitions;
+  std::vector<State> seeds;
+  for (std::size_t i = 0; i < all.size(); ++i)
+    if (forest.parent[i] < 0 && forest.end[i] != kDeadState) seeds.push_back(forest.end[i]);
+  std::sort(seeds.begin(), seeds.end());
+  return seeds;
+}
+
+/// The look-back, in symbols, count and find seed every chunk after the
+/// first from; a Σ*p searcher on log lines synchronizes well within it.
+/// They clamp it to the chunk's length, so the probe never costs more than
+/// the chunk's walk from every state would.
+inline constexpr std::size_t kBoundaryProbe = 256;
 
 }  // namespace rispar

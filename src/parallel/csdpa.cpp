@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "parallel/chunk_walker.hpp"
 #include "parallel/chunking.hpp"
 #include "util/stopwatch.hpp"
 
@@ -118,19 +119,15 @@ QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
       results[i] = run_chunk_det(dfa_, span, all_states_, run_options);
       return;
     }
-    // Look-back: advance every state over the window preceding the
-    // boundary (convergent kernel — survivors collapse quickly), then
-    // speculate only from the surviving groups' end states, which the
-    // convergent kernel hands over deduplicated in distinct_ends.
-    const std::size_t window_len = std::min(options.lookback, chunks[i].begin);
-    const auto window = input.subspan(chunks[i].begin - window_len, window_len);
-    const DetChunkResult probe = run_chunk_det(
-        dfa_, window, all_states_,
-        DetChunkOptions{.convergence = true, .governor = gov});
-    results[i] = run_chunk_det(dfa_, span, probe.distinct_ends, run_options);
-    // The probe work is real speculative overhead; account for it
-    // (accounting convention: parallel/ca_run.hpp).
-    results[i].transitions += probe.transitions;
+    // Look-back: speculate only from the states the `lookback` symbols
+    // before the boundary leave possible (the probe shared with count and
+    // find, parallel/chunk_walker.hpp). The probe work is real speculative
+    // overhead (accounting convention: parallel/ca_run.hpp).
+    std::uint64_t probe = 0;
+    const std::vector<State> seeds =
+        lookback_seeds(dfa_, input, chunks[i].begin, options.lookback, probe, gov);
+    results[i] = run_chunk_det(dfa_, span, seeds, run_options);
+    results[i].transitions += probe;
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 

@@ -1,5 +1,7 @@
 #include "parallel/match_count.hpp"
 
+#include <stdexcept>
+
 #include "parallel/chunk_walker.hpp"
 #include "parallel/chunking.hpp"
 #include "util/stopwatch.hpp"
@@ -115,34 +117,56 @@ struct FindRecord {
 /// One chunk's walk (parallel/chunk_walker.hpp) with its recorder.
 template <typename Record>
 struct ChunkRun {
+  std::vector<State> starts;  ///< ascending; forest node i ran from starts[i]
   WalkForest forest;
   Record record;
 };
 
+/// The reach phase counting and finding share: one walk per chunk of
+/// `text` on the pool. The first chunk runs from `first` alone, every later
+/// one from the look-back seeds of its boundary (chunk_walker.hpp), whose
+/// probe transitions count as the chunk's speculative work (convention:
+/// parallel/ca_run.hpp).
 template <typename Record>
-ChunkRun<Record> run_chunk(const Dfa& dfa, std::span<const Symbol> span,
-                           std::span<const State> starts, bool convergence,
-                           const std::vector<std::uint8_t>& flags,
-                           const QueryGovernor* gov) {
-  ChunkRun<Record> run;
-  run.record.reset(flags.data(), starts);
-  run.forest = walk_chunk(dfa, span, starts, convergence, run.record, gov);
-  return run;
+std::vector<ChunkRun<Record>> reach(const Dfa& dfa, std::span<const Symbol> text,
+                                    std::span<const ChunkSpan> chunks, State first,
+                                    bool convergence, ThreadPool& pool,
+                                    const QueryGovernor* gov) {
+  const std::vector<std::uint8_t> flags = state_flags(dfa);
+  std::vector<ChunkRun<Record>> runs(chunks.size());
+  pool.run(chunks.size(), [&](std::size_t i) {
+    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
+    const ChunkSpan& chunk = chunks[i];
+    ChunkRun<Record>& run = runs[i];
+    std::uint64_t probe = 0;
+    run.starts = i == 0 ? std::vector<State>{first}
+                        : lookback_seeds(dfa, text, chunk.begin,
+                                         std::min(kBoundaryProbe, chunk.length), probe, gov);
+    run.record.reset(flags.data(), run.starts);
+    run.forest = walk_chunk(dfa, text.subspan(chunk.begin, chunk.length), run.starts,
+                            convergence, run.record, gov);
+    run.forest.transitions += probe;
+  });
+  return runs;
 }
 
 /// The join counting and finding share: walks the consistent run through
-/// each chunk's merge forest — chunk 0 ran from the single start `state`,
-/// later chunks from all states, indexed by state id — calling
-/// visit(i, node, child) for every node on chunk i's chain (`child` is the
-/// node that merged into it, -1 for the chain's first). `state` enters as
-/// the consistent run's state before the batch and leaves as its state
-/// after it; `died` is set (and the walk stops) when the run dies.
+/// each chunk's merge forest — its node is the consistent state's index in
+/// the chunk's sorted start list — calling visit(i, node, child) for every
+/// node on chunk i's chain (`child` is the node that merged into it, -1 for
+/// the chain's first). `state` enters as the consistent run's state before
+/// the batch and leaves as its state after it; `died` is set (and the walk
+/// stops) when the run dies.
 template <typename Record, typename Visit>
 void join_chains(std::span<const ChunkRun<Record>> runs, State& state, bool& died,
                  Visit&& visit) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const WalkForest& forest = runs[i].forest;
-    std::size_t node = i == 0 ? 0 : static_cast<std::size_t>(state);
+    const std::vector<State>& starts = runs[i].starts;
+    const auto seed = std::lower_bound(starts.begin(), starts.end(), state);
+    if (seed == starts.end() || *seed != state)  // a bug: seeds hold every live state
+      throw std::logic_error("join: the consistent state is not a start of its chunk");
+    auto node = static_cast<std::size_t>(seed - starts.begin());
     std::int32_t child = -1;
     while (true) {
       visit(i, node, child);
@@ -265,25 +289,9 @@ QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
   const auto chunks = split_chunks(input.size(), options.chunks);
   result.chunks = chunks.size();
 
-  // Reach: per chunk, one counting run per possible start (chunk 1 only
-  // from the initial state).
   Stopwatch reach_clock;
-  std::vector<State> all_states;
-  all_states.reserve(static_cast<std::size_t>(dfa.num_states()));
-  for (State s = 0; s < dfa.num_states(); ++s) all_states.push_back(s);
-  const std::vector<State> first_start{dfa.initial()};
-
-  const std::vector<std::uint8_t> flags = state_flags(dfa);
-
-  std::vector<ChunkRun<CountRecord>> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(all_states);
-    runs[i] = run_chunk<CountRecord>(dfa, span, starts, options.convergence, flags, gov);
-  });
+  const auto runs = reach<CountRecord>(dfa, input, chunks, dfa.initial(),
+                                       options.convergence, pool, gov);
   result.reach_seconds = reach_clock.seconds();
 
   // Join: walk the unique consistent path and sum the counters up each
@@ -357,25 +365,9 @@ QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
   const auto chunks = split_chunks(input.size(), options.chunks);
   result.chunks = chunks.size();
 
-  // Reach: per chunk, one finding run per possible start (chunk 1 only from
-  // the initial state), exactly like counting.
   Stopwatch reach_clock;
-  std::vector<State> all_states;
-  all_states.reserve(static_cast<std::size_t>(dfa.num_states()));
-  for (State s = 0; s < dfa.num_states(); ++s) all_states.push_back(s);
-  const std::vector<State> first_start{dfa.initial()};
-
-  const std::vector<std::uint8_t> flags = state_flags(dfa);
-
-  std::vector<ChunkRun<FindRecord>> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(all_states);
-    runs[i] = run_chunk<FindRecord>(dfa, span, starts, options.convergence, flags, gov);
-  });
+  const auto runs = reach<FindRecord>(dfa, input, chunks, dfa.initial(),
+                                      options.convergence, pool, gov);
   result.reach_seconds = reach_clock.seconds();
 
   // Join: walk the unique consistent path, resolving each hit's begin
@@ -441,28 +433,10 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
     carry.history.insert(carry.history.end(), window.begin(), window.end());
 
   // Reach: exactly the one-shot fan-out, except the window's first chunk
-  // continues from the CARRIED state instead of the initial one; later
-  // chunks speculate from every searcher state. The speculative start set
-  // is filled once per session (first multi-chunk window) and reused —
-  // single-chunk windows, the tailing hot path, never build it.
+  // continues from the CARRIED state instead of the initial one.
   const auto chunks = split_chunks(window.size(), options.chunks);
-  if (chunks.size() > 1 && carry.speculative_starts.empty()) {
-    carry.speculative_starts.reserve(static_cast<std::size_t>(dfa.num_states()));
-    for (State s = 0; s < dfa.num_states(); ++s) carry.speculative_starts.push_back(s);
-  }
-  const std::vector<State> first_start{carry.state};
-
-  const std::vector<std::uint8_t> flags = state_flags(dfa);
-
-  std::vector<ChunkRun<FindRecord>> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // window/chunk boundary checkpoint
-    const auto span = window.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(carry.speculative_starts);
-    runs[i] = run_chunk<FindRecord>(dfa, span, starts, options.convergence, flags, gov);
-  });
+  const auto runs = reach<FindRecord>(dfa, window, chunks, carry.state,
+                                      options.convergence, pool, gov);
 
   // Join, serialized per window: the carried (state, last separator) enter
   // the walk and leave updated for the next window; hits emit through the

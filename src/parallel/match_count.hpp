@@ -5,11 +5,16 @@
 // Build the DFA of Σ*p (Engine::count derives it from any Pattern): a
 // prefix x[0..j] ends an occurrence of p iff the DFA is in a final state
 // after j. Counting those positions parallelizes with the same speculative
-// scheme as recognition: each chunk runs from every state recording
-// (end, hits); the join walks the single consistent path from the initial
-// state and sums the hit counters. Correct for any *total-on-the-text*
-// DFA; if the true run dies, the count up to the death point is returned
-// and `died` is set.
+// scheme as recognition: each chunk runs from every possible start
+// recording (end, hits); the join walks the single consistent path from
+// the initial state and sums the hit counters. Correct for any
+// *total-on-the-text* DFA; if the true run dies, the count up to the death
+// point is returned and `died` is set.
+//
+// The possible starts of a chunk after the first are its look-back seeds
+// (parallel/chunk_walker.hpp). A Σ*p searcher never dies, so every start
+// walks the whole chunk; but the searcher usually synchronizes within the
+// probe window (on log text, within one line), leaving one start, not |Q|.
 //
 // Each chunk run is the chunk walker (parallel/chunk_walker.hpp) — the one
 // template body recognize runs too — with a hit-counting recorder.
@@ -128,11 +133,6 @@ struct FindCarry {
   std::uint64_t last_sep = 0;  ///< absolute last-separator position
   std::uint64_t matches = 0;   ///< total occurrences emitted so far
   std::uint64_t transitions = 0;
-  /// Cached speculative start set (all searcher states), filled on the
-  /// first window that fans out to more than one chunk and reused across
-  /// windows — the per-feed analogue of the devices' constructor-time
-  /// all_states_ members. Session-scoped scratch, not semantic state.
-  std::vector<State> speculative_starts;
   /// BeginMode::kExact only: retained window symbols the backward
   /// reverse-DFA scan resolves cross-window begins over. `history_base` is
   /// the absolute position of history[0]; the retained tail always covers
@@ -146,11 +146,9 @@ struct FindCarry {
   std::uint64_t history_base = 0;
 };
 
-/// Appends `carry`'s SEMANTIC state — searcher state, flags, the absolute
-/// counters and the kExact history tail — to `out` as a little-endian
-/// binary image. `speculative_starts` is session-scoped scratch and is
-/// NOT encoded (a resumed session refills it lazily). This is the
-/// per-pattern payload unit of the session checkpoints; the versioned,
+/// Appends `carry` — searcher state, flags, the absolute counters and the
+/// kExact history tail — to `out` as a little-endian binary image. This is
+/// the per-pattern payload unit of the session checkpoints; the versioned,
 /// checksummed envelope around it lives in engine/checkpoint.hpp.
 void encode_find_carry(const FindCarry& carry, std::string& out);
 
@@ -177,8 +175,8 @@ inline constexpr const char* kStreamFindingContext =
 /// the window through `sink` with ABSOLUTE offsets (begin may predate the
 /// window — the carried separator). Windows of any size: large windows fan
 /// out over options.chunks finding walks (the window's first chunk
-/// continues from the carried state, later chunks speculate from every
-/// searcher state), with the join serialized per window. Feeding a text in
+/// continues from the carried state, later chunks from the look-back seeds
+/// of their boundary), with the join serialized per window. Feeding a text in
 /// any segmentation emits exactly the one-shot find_matches/serial-oracle
 /// list (property- and fuzz-tested). Empty windows are no-ops.
 /// Under options.begin_mode == BeginMode::kExact, `reverse` is REQUIRED and

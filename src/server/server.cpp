@@ -1213,12 +1213,13 @@ Server::FeedDone Server::execute_feed(FeedJob job) {
     // feed, and the chunk fan-out inside goes through the shared pool's
     // admission gate — every PR 6 failure mode funnels into the catch
     // ladder below as a typed error frame.
-    // Multi-pattern sessions emit session-local pattern indices; remap to
-    // catalog ids here, so MATCHES frames always speak manifest line order.
+    // Sessions emit session-local pattern indices (always 0 for a single
+    // pattern); tag with catalog ids here, so MATCHES frames always speak
+    // manifest line order.
     const bool remap = session.multi.has_value();
     const MatchSink sink = [&matches, &session, remap](const Match& m) {
       Match tagged = m;
-      if (remap) tagged.pattern_id = session.catalog_ids[m.pattern_id];
+      tagged.pattern_id = remap ? session.catalog_ids[m.pattern_id] : session.pattern_id;
       matches.push_back(tagged);
     };
     session.feed(job.bytes, sink);

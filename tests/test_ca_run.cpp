@@ -12,6 +12,7 @@
 #include "automata/subset.hpp"
 #include "core/ridfa.hpp"
 #include "helpers.hpp"
+#include "parallel/chunk_walker.hpp"
 #include "regex/parser.hpp"
 #include "regex/random_regex.hpp"
 
@@ -116,7 +117,7 @@ TEST(DetChunkRun, DuplicateStartsHandledByConvergence) {
 // ---------------------------------------------------------------------------
 // Walker equivalence: the chunk walker behind run_chunk_det — gather step,
 // scalar column loop and lone-run loop alike — must produce λ maps,
-// distinct ends and transition counts identical to the seed
+// and transition counts identical to the seed
 // implementations (run_chunk_det_reference) over randomized machines,
 // starts, and chunk boundaries (whatever gather backend this machine runs).
 // ---------------------------------------------------------------------------
@@ -129,7 +130,6 @@ void expect_kernels_agree(const Dfa& dfa, std::span<const Symbol> chunk,
       run_chunk_det(dfa, chunk, starts, {.convergence = convergence});
   EXPECT_EQ(walked.lambda, reference.lambda);
   EXPECT_EQ(walked.transitions, reference.transitions);
-  EXPECT_EQ(walked.distinct_ends, reference.distinct_ends);
 }
 
 // Random chunk that may contain invalid symbols (kUnmapped and >= k) so the
@@ -256,7 +256,9 @@ TEST(DetKernelEquivalence, WideTablesI32) {
   expect_kernels_agree(dfa, chunk, starts, true);
 }
 
-TEST(DetKernelEquivalence, ConvergentDistinctEndsMatchLambdaImage) {
+TEST(DetKernelEquivalence, LookbackSeedsMatchLambdaImage) {
+  // The look-back probe's seeds are the sorted, deduplicated λ image of a
+  // convergent walk from every state, at the same transition cost.
   Prng prng(555);
   for (int trial = 0; trial < 10; ++trial) {
     RandomNfaConfig config;
@@ -273,9 +275,9 @@ TEST(DetKernelEquivalence, ConvergentDistinctEndsMatchLambdaImage) {
     }
     std::sort(image.begin(), image.end());
     image.erase(std::unique(image.begin(), image.end()), image.end());
-    std::vector<State> ends = merged.distinct_ends;
-    std::sort(ends.begin(), ends.end());
-    EXPECT_EQ(ends, image);
+    std::uint64_t probe = 0;
+    EXPECT_EQ(lookback_seeds(dfa, chunk, chunk.size(), chunk.size(), probe, nullptr), image);
+    EXPECT_EQ(probe, merged.transitions);
   }
 }
 

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "automata/glushkov.hpp"
 #include "automata/minimize.hpp"
 #include "automata/random_nfa.hpp"
 #include "automata/subset.hpp"
+#include "engine/pattern.hpp"
 #include "helpers.hpp"
+#include "parallel/chunk_walker.hpp"
+#include "parallel/chunking.hpp"
 #include "regex/parser.hpp"
 #include "workloads/suite.hpp"
 
@@ -66,11 +73,15 @@ TEST(MatchCount, UnsupportedKnobsRaiseQueryError) {
 
 TEST(MatchCount, ConvergenceSavesTransitionsOnTotalMachines) {
   // On a Σ*-context machine every speculative run survives, so merged runs
-  // are pure savings; the counts must still agree exactly.
-  const Dfa dfa = searcher("aa");
+  // are pure savings; the counts must still agree exactly. The look-back
+  // probe leaves most searchers a single start per chunk, so this machine
+  // needs a synchronizing word longer than the probe: over a run of a's the
+  // searcher of a{N} keeps N - kBoundaryProbe + 1 seeds alive, and they
+  // converge only as they saturate at N.
+  const std::size_t n = kBoundaryProbe + 40;
+  const Dfa dfa = searcher("a{" + std::to_string(n) + "}");
   ThreadPool pool(4);
-  std::string text;
-  for (int i = 0; i < 512; ++i) text += (i % 3 == 0) ? "aa" : "ab";
+  const std::string text(8 * 2 * n, 'a');
   const auto input = dfa.symbols().translate(text);
   const QueryResult independent = count_matches(dfa, input, pool, counting(8, false));
   const QueryResult convergent = count_matches(dfa, input, pool, counting(8, true));
@@ -158,6 +169,143 @@ TEST_P(MatchCountProperty, ParallelEqualsSerialOnRandomMachines) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchCountProperty,
                          ::testing::Range<std::uint64_t>(0, 15));
+
+// ---------------------------------------------------------------------------
+// Look-back seeds: every chunk after the first starts from the states the
+// kBoundaryProbe symbols before its boundary leave possible
+// (parallel/chunk_walker.hpp), never from all of Q.
+// ---------------------------------------------------------------------------
+
+// A random DFA over `symbols` symbols, initial state 0: total, or with each
+// transition dead with probability 1/4.
+Dfa random_dfa(Prng& prng, std::int32_t states, std::int32_t symbols, bool total) {
+  Dfa dfa = Dfa::with_identity_alphabet(symbols);
+  for (std::int32_t s = 0; s < states; ++s) dfa.add_state(prng.pick_index(4) == 0);
+  dfa.set_initial(0);
+  for (State s = 0; s < states; ++s)
+    for (Symbol a = 0; a < symbols; ++a)
+      if (total || prng.pick_index(4) != 0)
+        dfa.set_transition(s, a, static_cast<State>(prng.pick_index(
+                                     static_cast<std::size_t>(states))));
+  return dfa;
+}
+
+// A text the serial run survives as long as it can (each symbol drawn from
+// the live transitions of its current state), with an occasional alien
+// symbol that kills every run.
+std::vector<Symbol> surviving_text(Prng& prng, const Dfa& dfa, std::size_t length) {
+  std::vector<Symbol> text;
+  State state = dfa.initial();
+  for (std::size_t i = 0; i < length; ++i) {
+    if (prng.pick_index(400) == 0) {
+      text.push_back(prng.pick_index(2) == 0 ? SymbolMap::kUnmapped : dfa.num_symbols());
+      state = kDeadState;
+      continue;
+    }
+    std::vector<Symbol> live;
+    for (Symbol a = 0; state != kDeadState && a < dfa.num_symbols(); ++a)
+      if (dfa.row(state)[a] != kDeadState) live.push_back(a);
+    const Symbol a = live.empty() ? static_cast<Symbol>(prng.pick_index(
+                                        static_cast<std::size_t>(dfa.num_symbols())))
+                                  : live[prng.pick_index(live.size())];
+    text.push_back(a);
+    if (state != kDeadState) state = dfa.row(state)[a];
+  }
+  return text;
+}
+
+TEST(LookbackSeeds, HoldTheSerialBoundaryState) {
+  // Soundness: wherever the serial run is alive at a chunk boundary, its
+  // state is among that chunk's seeds — on total and dying machines, with
+  // alien symbols in the windows, and for chunks shorter than the probe.
+  // A window holding an alien symbol seeds nothing: every run dies in it.
+  Prng prng(0x5eed5);
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 60; ++trial) {
+    const bool total = trial % 2 == 0;
+    const auto states = 2 + static_cast<std::int32_t>(prng.pick_index(40));
+    const auto symbols = 2 + static_cast<std::int32_t>(prng.pick_index(3));
+    const Dfa dfa = random_dfa(prng, states, symbols, total);
+    const auto text = surviving_text(prng, dfa, 1 + prng.pick_index(3000));
+    const std::size_t chunks = 1 + prng.pick_index(64);
+    State state = dfa.initial();
+    std::size_t at = 0;
+    for (const ChunkSpan& chunk : split_chunks(text.size(), chunks)) {
+      for (; at < chunk.begin && state != kDeadState; ++at) {
+        const Symbol a = text[at];
+        state = a < 0 || a >= dfa.num_symbols() ? kDeadState : dfa.row(state)[a];
+      }
+      if (chunk.begin == 0) continue;
+      const std::size_t lookback = std::min({kBoundaryProbe, chunk.begin, chunk.length});
+      std::uint64_t probe = 0;
+      const std::vector<State> seeds =
+          lookback_seeds(dfa, text, chunk.begin, lookback, probe, nullptr);
+      EXPECT_TRUE(std::is_sorted(seeds.begin(), seeds.end()));
+      EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
+      const auto window = std::span<const Symbol>(text).subspan(chunk.begin - lookback, lookback);
+      if (first_invalid_symbol(window, dfa.num_symbols()) < window.size())
+        EXPECT_TRUE(seeds.empty());
+      if (state != kDeadState)
+        EXPECT_TRUE(std::binary_search(seeds.begin(), seeds.end(), state))
+            << "trial " << trial << " boundary " << chunk.begin;
+    }
+    const QueryResult serial = find_matches_serial(dfa, text);
+    for (const bool convergence : {false, true}) {
+      const QueryResult found =
+          find_matches(dfa, text, pool, counting(chunks, convergence));
+      EXPECT_EQ(found.positions, serial.positions) << "trial " << trial;
+      EXPECT_EQ(found.died, serial.died) << "trial " << trial;
+    }
+  }
+}
+
+TEST(LookbackSeeds, SearcherSpeculationStaysNearOneChunk) {
+  // The 136-state searcher of a log-find pattern on traffic-format text:
+  // speculating from all of Q, every chunk after the first would run 136
+  // full-length runs; seeded from its look-back, eight chunks cost at most
+  // 10% more transitions than one.
+  const Pattern pattern = Pattern::compile("src=[0-9.]*9[0-9.]{6} dpt");
+  const Dfa& dfa = pattern.searcher();
+  ASSERT_EQ(dfa.num_states(), 136);
+  Prng prng(13);
+  const auto input = dfa.symbols().translate(traffic_workload().text(256 << 10, prng));
+  ThreadPool pool(4);
+  const QueryResult one = find_matches(dfa, input, pool, counting(1));
+  const QueryResult eight = find_matches(dfa, input, pool, counting(8));
+  EXPECT_EQ(eight.positions, one.positions);
+  EXPECT_GT(one.matches, 0u);
+  EXPECT_LE(eight.transitions * 10, one.transitions * 11)
+      << eight.transitions << " vs " << one.transitions;
+}
+
+TEST(LookbackSeeds, ProbeAtMostDoublesFullSpeculation) {
+  // Worst case: a permutation automaton never merges or kills a run, so
+  // the probe keeps every state and tiny chunks pay it in full. Clamped to
+  // the chunk length, it never costs more than the chunk's own walk from
+  // every state: at most twice all-of-Q speculation.
+  constexpr std::int32_t kStates = 12;
+  Dfa dfa = Dfa::with_identity_alphabet(2);
+  for (std::int32_t s = 0; s < kStates; ++s) dfa.add_state(s % 3 == 0);
+  dfa.set_initial(0);
+  for (State s = 0; s < kStates; ++s) {
+    dfa.set_transition(s, 0, (s + 1) % kStates);
+    dfa.set_transition(s, 1, kStates - 1 - s);
+  }
+  Prng prng(21);
+  const auto input = testing::random_word(prng, 2, 300);
+  ThreadPool pool(4);
+  const auto chunks = split_chunks(input.size(), 64);
+  std::uint64_t all_of_q = chunks.front().length;
+  for (std::size_t i = 1; i < chunks.size(); ++i) all_of_q += kStates * chunks[i].length;
+  const QueryResult serial = count_matches_serial(dfa, input);
+  const QueryResult counted = count_matches(dfa, input, pool, counting(64));
+  const QueryResult found = find_matches(dfa, input, pool, counting(64));
+  EXPECT_EQ(counted.matches, serial.matches);
+  EXPECT_EQ(found.matches, serial.matches);
+  EXPECT_GT(counted.transitions, all_of_q);  // the probe found nothing to cut
+  EXPECT_LE(counted.transitions, 2 * all_of_q);
+  EXPECT_EQ(found.transitions, counted.transitions);
+}
 
 }  // namespace
 }  // namespace rispar

@@ -295,6 +295,33 @@ TEST(RispardServer, OneConnectionMultiplexesSessionsOnDifferentPatterns) {
   EXPECT_EQ(client.close_session(2), on_ba.matches_total);
 }
 
+TEST(RispardServer, SinglePatternMatchesCarryTheCatalogId) {
+  // docs/rispard.md: every MATCHES frame tags the catalog id, also for a
+  // session bound to one pattern other than the first.
+  ServerHarness harness({"ab", "ba"});
+  Client client(harness.port());
+  ASSERT_GE(client.fd, 0);
+
+  ASSERT_EQ(client.open(/*sid=*/5, /*pid=*/1), 1u);
+  std::string text;
+  for (int i = 0; i < 100; ++i) text += (i % 3 == 0) ? "xbay" : "abba";
+  const std::vector<Match> expected = Engine(Pattern::compile("ba")).find_all(text);
+  ASSERT_FALSE(expected.empty());
+  std::vector<Match> streamed;
+  for (std::size_t offset = 0; offset < text.size(); offset += 17) {
+    const auto outcome = client.feed(5, std::string_view(text).substr(offset, 17));
+    ASSERT_TRUE(outcome.ok);
+    streamed.insert(streamed.end(), outcome.matches.begin(), outcome.matches.end());
+  }
+  ASSERT_EQ(streamed.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(streamed[i].pattern_id, 1u) << "match " << i;
+    EXPECT_EQ(streamed[i].begin, expected[i].begin) << "match " << i;
+    EXPECT_EQ(streamed[i].end, expected[i].end) << "match " << i;
+  }
+  EXPECT_EQ(client.close_session(5), expected.size());
+}
+
 TEST(RispardServer, CountersTrackServing) {
   ServerHarness harness({"ab"});
   {
