@@ -155,7 +155,6 @@ BENCHMARK(BM_BundleMappedLoad)->Unit(benchmark::kMillisecond);
 void BM_CatalogColdReload(benchmark::State& state) {
   BundleFixture& f = fixture();
   (void)f;
-  const auto pool = std::make_shared<ThreadPool>(2);
   std::vector<std::string> manifest;
   EngineConfig config;
   const char* mode = "";
@@ -168,7 +167,7 @@ void BM_CatalogColdReload(benchmark::State& state) {
       manifest = corpus_regexes();
       config.compile_cache = std::make_shared<CompileCache>();
       // Warm it: iterations then measure steady-state reload, all hits.
-      (void)rispard::build_catalog(manifest, 0, pool, config);
+      (void)rispard::build_catalog(manifest, 0, config);
       mode = "regex_cached";
       break;
     }
@@ -181,8 +180,7 @@ void BM_CatalogColdReload(benchmark::State& state) {
   std::uint64_t generation = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const auto catalog =
-        rispard::build_catalog(manifest, ++generation, pool, config);
+    const auto catalog = rispard::build_catalog(manifest, ++generation, config);
     benchmark::DoNotOptimize(catalog->patterns.size());
     total_ms += ms_since(start);
   }

@@ -211,9 +211,9 @@ int main(int argc, char** argv) {
       }
       ResumeSpec spec;
       spec.session_id = 1;
-      spec.pattern_id = 0;
+      spec.pattern_ids = {0};
       spec.chunks = 4;
-      spec.checkpoint = frame.payload.substr(8);  // {session, pattern, blob}
+      spec.checkpoint = frame.payload.substr(4);  // {session, blob}
       ::close(fd);
       reader = FrameReader();
       fd = reconnect_and_resume(port, spec, reader);

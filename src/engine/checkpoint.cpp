@@ -10,7 +10,7 @@
 namespace rispar::checkpoint {
 namespace {
 
-constexpr std::size_t kHeaderBytes = 20;  // magic + version + 4 flags + fingerprint
+constexpr std::size_t kHeaderBytes = 19;  // magic + version + 3 flags + fingerprint
 constexpr std::size_t kTrailerBytes = 8;  // checksum64
 
 [[noreturn]] void reject(const std::string& what) {
@@ -77,21 +77,9 @@ void append_dfa_content(std::string& buf, const Dfa& dfa) {
     put_u32(buf, static_cast<std::uint32_t>(symbol));
 }
 
-void append_header(std::string& out, Kind kind, std::uint8_t variant,
-                   const QueryOptions& options, std::uint64_t fingerprint) {
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(variant));
-  out.push_back(static_cast<char>(options.positions ? 1 : 0));
-  out.push_back(static_cast<char>(options.begin_mode));
-  put_u64(out, fingerprint);
-}
-
 void seal(std::string& out) { put_u64(out, bundle::checksum64(out.data(), out.size())); }
 
 struct Envelope {
-  Kind kind;
   std::uint8_t variant = 0;
   bool positions = false;
   BeginMode begin_mode = BeginMode::kSeparator;
@@ -115,11 +103,6 @@ Envelope open_envelope(std::string_view blob) {
     reject("checksum mismatch (corrupted or truncated blob)");
 
   Envelope env;
-  const std::uint8_t kind = get_u8(blob, pos);
-  if (kind != static_cast<std::uint8_t>(Kind::kSingleStream) &&
-      kind != static_cast<std::uint8_t>(Kind::kMultiStream))
-    reject("unknown kind " + std::to_string(kind));
-  env.kind = static_cast<Kind>(kind);
   env.variant = get_u8(blob, pos);
   env.positions = get_flag(blob, pos, "positions");
   const std::uint8_t mode = get_u8(blob, pos);
@@ -128,26 +111,6 @@ Envelope open_envelope(std::string_view blob) {
   env.fingerprint = get_u64(blob, pos);
   env.body = blob.substr(kHeaderBytes, blob.size() - kHeaderBytes - kTrailerBytes);
   return env;
-}
-
-/// The option/identity cross-checks shared by both decoders. The blob is
-/// internally consistent by now (checksum passed); what remains is whether
-/// it belongs to THIS pattern and THIS session shape.
-void match_session(const Envelope& env, Kind kind, const QueryOptions& options,
-                   std::uint64_t fingerprint) {
-  if (env.kind != kind)
-    reject(kind == Kind::kSingleStream
-               ? "multi-pattern blob offered to a single-pattern resume"
-               : "single-pattern blob offered to a multi-pattern resume");
-  if (env.fingerprint != fingerprint)
-    reject("pattern fingerprint mismatch (checkpoint was taken against a "
-           "different pattern or fleet)");
-  if (env.positions != options.positions)
-    reject(env.positions ? "blob carries a find side but positions=false was requested"
-                         : "positions=true requested but the blob has no find side");
-  if (env.begin_mode != options.begin_mode)
-    reject(std::string("begin-mode mismatch (blob ") + begin_mode_name(env.begin_mode) +
-           ", resume requested " + begin_mode_name(options.begin_mode) + ")");
 }
 
 }  // namespace
@@ -168,87 +131,90 @@ std::uint64_t fleet_fingerprint(std::span<const Pattern> patterns) {
   return bundle::checksum64(buf.data(), buf.size());
 }
 
-std::string encode_stream(const StreamCarry& carry, Variant variant,
-                          const QueryOptions& options, std::uint64_t fingerprint) {
+std::string encode(const StreamCarry* decision, std::uint64_t consumed,
+                   std::span<const FindCarry> carries, const QueryOptions& options,
+                   std::uint64_t fingerprint) {
   fault::maybe_throw("checkpoint.encode");
   std::string out;
-  append_header(out, Kind::kSingleStream, static_cast<std::uint8_t>(variant), options,
-                fingerprint);
-  out.push_back(static_cast<char>(carry.at_start ? 1 : 0));
-  put_u64(out, carry.transitions);
-  put_u64(out, carry.windows);
-  put_u32(out, static_cast<std::uint32_t>(carry.states.size()));
-  for (const State state : carry.states) put_u32(out, static_cast<std::uint32_t>(state));
-  encode_find_carry(carry.find, out);
-  seal(out);
-  return out;
-}
-
-StreamCarry decode_stream(std::string_view blob, Variant variant,
-                          const QueryOptions& options, std::uint64_t fingerprint) {
-  fault::maybe_throw("checkpoint.decode");
-  const Envelope env = open_envelope(blob);
-  match_session(env, Kind::kSingleStream, options, fingerprint);
-  if (env.variant != static_cast<std::uint8_t>(variant))
-    reject(env.variant > static_cast<std::uint8_t>(Variant::kSfa)
-               ? "malformed variant"
-               : std::string("variant mismatch (blob ") +
-                     variant_name(static_cast<Variant>(env.variant)) +
-                     ", resume requested " +
-                     variant_name(variant) + ") — decision states do not transfer");
-
-  StreamCarry carry;
-  std::size_t pos = 0;
-  carry.at_start = get_flag(env.body, pos, "at_start");
-  carry.transitions = get_u64(env.body, pos);
-  carry.windows = get_u64(env.body, pos);
-  const std::uint32_t nstates = get_u32(env.body, pos);
-  if (nstates > (env.body.size() - pos) / 4) reject("truncated decision state list");
-  carry.states.reserve(nstates);
-  for (std::uint32_t i = 0; i < nstates; ++i) {
-    const State state = static_cast<State>(get_u32(env.body, pos));
-    if (state < 0) reject("decision state out of range");
-    carry.states.push_back(state);
+  put_u32(out, kMagic);
+  put_u32(out, kVersion);
+  out.push_back(static_cast<char>(decision != nullptr ? options.variant : Variant{}));
+  out.push_back(static_cast<char>(options.positions ? 1 : 0));
+  out.push_back(static_cast<char>(options.begin_mode));
+  put_u64(out, fingerprint);
+  out.push_back(static_cast<char>(decision != nullptr ? 1 : 0));
+  if (decision != nullptr) {
+    out.push_back(static_cast<char>(decision->at_start ? 1 : 0));
+    put_u64(out, decision->transitions);
+    put_u64(out, decision->windows);
+    put_u32(out, static_cast<std::uint32_t>(decision->states.size()));
+    for (const State state : decision->states)
+      put_u32(out, static_cast<std::uint32_t>(state));
   }
-  if (carry.at_start && (!carry.states.empty() || carry.windows != 0))
-    reject("at_start carry with fed windows");
-  carry.find = decode_find_carry(env.body, pos);
-  if (pos != env.body.size()) reject("trailing bytes after carry image");
-  return carry;
-}
-
-std::string encode_multi(const std::vector<const FindCarry*>& carries,
-                         std::uint64_t consumed, const QueryOptions& options,
-                         std::uint64_t fingerprint) {
-  fault::maybe_throw("checkpoint.encode");
-  std::string out;
-  append_header(out, Kind::kMultiStream, /*variant=*/0, options, fingerprint);
   put_u64(out, consumed);
   put_u32(out, static_cast<std::uint32_t>(carries.size()));
-  for (const FindCarry* carry : carries) encode_find_carry(*carry, out);
+  for (const FindCarry& carry : carries) encode_find_carry(carry, out);
   seal(out);
   return out;
 }
 
-MultiImage decode_multi(std::string_view blob, std::size_t expected_patterns,
-                        const QueryOptions& options, std::uint64_t fingerprint) {
+Image decode(std::string_view blob, const QueryOptions& options, bool decision,
+             std::size_t patterns, std::uint64_t fingerprint) {
   fault::maybe_throw("checkpoint.decode");
+  // The blob is internally consistent once the envelope opens (checksum
+  // passed); what remains is whether it belongs to THIS session.
   const Envelope env = open_envelope(blob);
-  match_session(env, Kind::kMultiStream, options, fingerprint);
-  if (env.variant != 0) reject("malformed variant (multi-pattern blobs carry none)");
+  if (env.fingerprint != fingerprint)
+    reject("pattern fingerprint mismatch (checkpoint was taken against a "
+           "different pattern or fleet)");
+  if (env.positions != options.positions)
+    reject(env.positions ? "blob carries a find side but positions=false was requested"
+                         : "positions=true requested but the blob has no find side");
+  if (env.begin_mode != options.begin_mode)
+    reject(std::string("begin-mode mismatch (blob ") + begin_mode_name(env.begin_mode) +
+           ", resume requested " + begin_mode_name(options.begin_mode) + ")");
 
-  MultiImage image;
+  Image image;
   std::size_t pos = 0;
+  if (get_flag(env.body, pos, "has_decision") != decision)
+    reject(decision ? "find-only blob offered to a StreamSession resume"
+                    : "blob with a decision side offered to a find-only resume");
+  if (decision) {
+    if (env.variant != static_cast<std::uint8_t>(options.variant))
+      reject(env.variant > static_cast<std::uint8_t>(Variant::kSfa)
+                 ? "malformed variant"
+                 : std::string("variant mismatch (blob ") +
+                       variant_name(static_cast<Variant>(env.variant)) +
+                       ", resume requested " + variant_name(options.variant) +
+                       ") — decision states do not transfer");
+    StreamCarry& carry = image.decision.emplace();
+    carry.at_start = get_flag(env.body, pos, "at_start");
+    carry.transitions = get_u64(env.body, pos);
+    carry.windows = get_u64(env.body, pos);
+    const std::uint32_t nstates = get_u32(env.body, pos);
+    if (nstates > (env.body.size() - pos) / 4) reject("truncated decision state list");
+    carry.states.reserve(nstates);
+    for (std::uint32_t i = 0; i < nstates; ++i) {
+      const State state = static_cast<State>(get_u32(env.body, pos));
+      if (state < 0) reject("decision state out of range");
+      carry.states.push_back(state);
+    }
+    if (carry.at_start && (!carry.states.empty() || carry.windows != 0))
+      reject("at_start carry with fed windows");
+  } else if (env.variant != 0) {
+    reject("malformed variant (find-only blobs carry none)");
+  }
+
   image.consumed = get_u64(env.body, pos);
   const std::uint32_t npatterns = get_u32(env.body, pos);
-  if (npatterns != expected_patterns)
+  if (npatterns != patterns)
     reject("fleet size mismatch (blob has " + std::to_string(npatterns) +
-           " carries, resuming fleet has " + std::to_string(expected_patterns) + ")");
+           " carries, resuming session has " + std::to_string(patterns) + ")");
   image.carries.reserve(npatterns);
   for (std::uint32_t i = 0; i < npatterns; ++i) {
     FindCarry carry = decode_find_carry(env.body, pos);
-    // Every pattern of a merged session is fed the same windows, so each
-    // carry's byte count must equal the session's.
+    // Every pattern of a session is fed the same windows, so each carry's
+    // byte count must equal the session's.
     if (carry.consumed != image.consumed)
       reject("carry byte count disagrees with the session's");
     image.carries.push_back(std::move(carry));

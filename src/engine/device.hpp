@@ -12,11 +12,9 @@
 //    only the device-specific PLAS representation across windows (the
 //    paper's join condition applied at window granularity — feeding a text
 //    in any segmentation yields the one-shot decision, property-tested).
-//    When the caller hands it a StreamFindWindow, the feed ALSO advances
-//    the carry's find side over the Σ*p searcher and emits every
-//    occurrence ending in the window with absolute byte offsets — the
-//    streaming-find discipline (Hyperscan-style), equal to the one-shot
-//    find_all under any window segmentation (fuzz-tested).
+//    Streaming FIND is not a device concern: it rides the variant-
+//    independent Σ*p searcher in MultiStreamSession (engine/engine.hpp),
+//    which a positions StreamSession holds beside its decision carry.
 //
 // capabilities() declares which QueryOptions knobs the device honors;
 // validate_query() rejects anything beyond that set.
@@ -27,43 +25,21 @@
 
 #include "automata/nfa.hpp"
 #include "engine/query.hpp"
-#include "parallel/match_count.hpp"
 
 namespace rispar {
 
 class ThreadPool;
 
-/// The state a StreamSession carries between windows. `states` is
-/// device-specific: DFA/RI-DFA states of the surviving runs (PLAS), NFA
+/// The decision state a StreamSession carries between windows. `states`
+/// is device-specific: DFA/RI-DFA states of the surviving runs (PLAS), NFA
 /// frontier states, or the single composed chunk-automaton state of the
 /// SFA. Empty states after the first window means every run died — the
-/// stream's DECISION is dead and every extension rejects; the find side
-/// (`find`, fed only on positions sessions) keeps emitting occurrences
-/// regardless, because occurrence search never dies on byte input.
+/// stream's DECISION is dead and every extension rejects.
 struct StreamCarry {
   std::vector<State> states;
   bool at_start = true;  ///< nothing fed yet
   std::uint64_t transitions = 0;
   std::uint64_t windows = 0;
-  /// The (end, last-separator) hit tracking of streaming find, carried
-  /// across windows (parallel/match_count.hpp). Untouched unless the feed
-  /// receives a StreamFindWindow.
-  FindCarry find;
-};
-
-/// The find side of one streamed window: the Σ*p searcher runs on its OWN
-/// all-bytes SymbolMap, so the window arrives twice — device-translated
-/// for the decision, searcher-translated here (one symbol per byte; both
-/// spans cover the same bytes, so they have equal length). Matches emit
-/// through `sink` as they are joined, with absolute byte offsets.
-struct StreamFindWindow {
-  const Dfa& searcher;
-  std::span<const Symbol> window;
-  const MatchSink& sink;
-  std::uint32_t pattern_id = 0;
-  /// Required under QueryOptions::begin_mode == BeginMode::kExact: the
-  /// pattern's reverse-confirmation artifact (Pattern::reverse_begins).
-  const ReverseBegins* reverse = nullptr;
 };
 
 class Device {
@@ -101,29 +77,25 @@ class Device {
   /// Consumes the next window of a streamed input, updating `carry` in
   /// place (empty windows are a no-op). Streaming runs the same chunk
   /// walker as recognize; lookback/tree_join are not available in
-  /// streaming mode (Engine::stream rejects them). With
-  /// `find` non-null the same feed advances carry.find over the searcher
-  /// and emits the window's occurrences through find->sink (absolute byte
-  /// offsets, begins resolved through the carried separator) — the find
-  /// side runs even after the decision carry died, since substring
-  /// occurrences outlive whole-stream membership.
+  /// streaming mode (Engine::stream rejects them).
   ///
-  /// Governance is PER FEED: options.deadline/cancel build one governor at
-  /// the top of each feed, shared by the decision and the find side — a
-  /// trip throws out of this call; the session-level poisoning contract
+  /// Governance is PER FEED: `governor` is the caller's per-feed governor
+  /// (a positions StreamSession shares one between this decision window
+  /// and its find side); nullptr builds one from options.deadline/cancel.
+  /// A trip throws out of this call; the session-level poisoning contract
   /// lives in StreamSession (engine/engine.hpp).
   void stream_feed(StreamCarry& carry, std::span<const Symbol> window,
                    ThreadPool& pool, const QueryOptions& options,
-                   const StreamFindWindow* find = nullptr) const;
+                   const QueryGovernor* governor = nullptr) const;
 
   /// Decision over everything fed into `carry` so far.
   virtual bool stream_accepted(const StreamCarry& carry) const = 0;
 
  protected:
-  /// The device-specific decision half of stream_feed (the PLAS window
-  /// join). Validation, governor construction and the find side live in
-  /// the shared front end; `governor` is pre-normalized (nullptr when
-  /// inactive) and polled at every chunk-task start inside the window.
+  /// The device-specific body of stream_feed (the PLAS window join).
+  /// Validation and governor construction live in the shared front end;
+  /// `governor` is pre-normalized (nullptr when inactive) and polled at
+  /// every chunk-task start inside the window.
   virtual void stream_window(StreamCarry& carry, std::span<const Symbol> window,
                              ThreadPool& pool, const QueryOptions& options,
                              const QueryGovernor* governor) const = 0;

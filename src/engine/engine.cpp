@@ -1,9 +1,11 @@
 #include "engine/engine.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "engine/checkpoint.hpp"
 #include "parallel/match_count.hpp"
+#include "util/fault_inject.hpp"
 
 namespace rispar {
 
@@ -113,18 +115,11 @@ StreamSession Engine::stream(const QueryOptions& options) const {
 
 StreamSession Engine::resume_stream(std::string_view blob,
                                     const QueryOptions& options) const {
-  // Exactly stream()'s open-time discipline — validation and lazy-artifact
-  // pre-pay happen BEFORE the blob is decoded, so a resume rejects for the
-  // same reasons at the same point a fresh open would.
-  const Device& dev = device(options.variant);
-  validate_query(options, dev.stream_capabilities(),
-                 device_context("resume_stream", options.variant));
-  if (options.positions) (void)searcher();
-  if (options.begin_mode == BeginMode::kExact)
-    (void)pattern_.reverse_begins(config_.subset_budget);
-  StreamSession session(dev, pattern_, *pool_, options);
-  session.carry_ = checkpoint::decode_stream(
-      blob, options.variant, options, checkpoint::pattern_fingerprint(pattern_));
+  // A fresh open first — validation and lazy-artifact pre-pay happen
+  // BEFORE the blob is decoded, so a resume rejects for the same reasons at
+  // the same point a fresh open would.
+  StreamSession session = stream(options);
+  session.resume(blob);
   return session;
 }
 
@@ -164,6 +159,15 @@ bool Engine::accepts(std::string_view text) const {
   return accepts(pattern_.translate(text));
 }
 
+// ------------------------------------------------------------ StreamSession
+
+StreamSession::StreamSession(const Device& device, Pattern pattern, ThreadPool& pool,
+                             QueryOptions options)
+    : device_(&device), pattern_(std::move(pattern)), pool_(&pool),
+      options_(std::move(options)) {
+  if (options_.positions) find_.emplace(std::vector<Pattern>{pattern_}, pool, options_);
+}
+
 void StreamSession::ensure_live() const {
   if (poisoned_)
     throw ValidationError(
@@ -173,50 +177,34 @@ void StreamSession::ensure_live() const {
         "drains what was buffered)");
 }
 
-void StreamSession::feed(std::string_view bytes) {
-  if (!options_.positions) {
-    ensure_live();
-    try {
-      device_->stream_feed(carry_, pattern_.translate(bytes), *pool_, options_);
-    } catch (...) {
-      poisoned_ = true;
-      throw;
-    }
-    return;
-  }
-  feed(bytes, [this](const Match& match) { pending_.push_back(match); });
-}
+void StreamSession::feed(std::string_view bytes) { feed(bytes, nullptr); }
 
 void StreamSession::feed(std::string_view bytes, const MatchSink& sink) {
   // Shape precondition first: rejecting here never poisons — nothing ran.
-  if (!options_.positions)
+  if (!find_)
     throw ValidationError(
         "stream (match drain): this session was not opened with positions — "
         "set QueryOptions::positions at Engine::stream to request streaming "
         "find");
+  feed(bytes, &sink);
+}
+
+void StreamSession::feed(std::string_view bytes, const MatchSink* sink) {
   ensure_live();
   try {
-    // The decision and the find side consume the same bytes through two
-    // maps: the pattern's classes for the device carry, the searcher's
-    // all-bytes map (one symbol per byte) for position emission.
-    const Dfa& searcher = pattern_.searcher();
-    const std::vector<Symbol> find_window = searcher.symbols().translate(bytes);
-    const ReverseBegins* reverse = options_.begin_mode == BeginMode::kExact
-                                       ? &pattern_.reverse_begins()
-                                       : nullptr;
-    const StreamFindWindow find{searcher, find_window, sink, /*pattern_id=*/0,
-                                reverse};
+    // One governor per FEED: its clock starts here and covers both the
+    // decision window and the find side.
+    const QueryGovernor governor(options_.deadline, options_.cancel);
     if (dead()) {
       // The decision already died — its window would no-op anyway, so skip
       // the device-side translation (the tailing steady state: only the
-      // find side still scans). Keep the window accounting stream_window
-      // would do.
+      // find side still scans). Keep the window accounting.
       if (!bytes.empty()) ++carry_.windows;
-      device_->stream_feed(carry_, std::span<const Symbol>{}, *pool_, options_,
-                           &find);
-      return;
+    } else {
+      device_->stream_feed(carry_, pattern_.translate(bytes), *pool_, options_,
+                           &governor);
     }
-    device_->stream_feed(carry_, pattern_.translate(bytes), *pool_, options_, &find);
+    if (find_) find_->feed(bytes, sink, governor);
   } catch (...) {
     poisoned_ = true;
     throw;
@@ -224,7 +212,7 @@ void StreamSession::feed(std::string_view bytes, const MatchSink& sink) {
 }
 
 void StreamSession::feed(std::span<const Symbol> window) {
-  if (options_.positions)
+  if (find_)
     throw ValidationError(
         "stream (positions): symbol-span windows cannot serve streaming find "
         "— the searcher translates raw bytes with its own map; feed "
@@ -244,24 +232,171 @@ std::string StreamSession::checkpoint() const {
         "stream (checkpoint): session is poisoned — a previous feed failed "
         "mid-window, so there is no consistent carry to save; reset() and "
         "refeed, or resume an earlier checkpoint");
-  if (!pending_.empty())
-    throw ValidationError(
-        "stream (checkpoint): " + std::to_string(pending_.size()) +
-        " buffered matches are undrained — take_matches() first; checkpoints "
-        "never carry match payloads, so resuming would silently drop them");
-  return checkpoint::encode_stream(carry_, device_->variant(), options_,
-                                   checkpoint::pattern_fingerprint(pattern_));
+  if (find_) return find_->checkpoint(&carry_);
+  return checkpoint::encode(&carry_, 0, {}, options_,
+                            checkpoint::fleet_fingerprint(std::span(&pattern_, 1)));
+}
+
+void StreamSession::resume(std::string_view blob) {
+  checkpoint::Image image = checkpoint::decode(
+      blob, options_, /*decision=*/true, find_ ? 1 : 0,
+      checkpoint::fleet_fingerprint(std::span(&pattern_, 1)));
+  carry_ = std::move(*image.decision);
+  if (find_) {
+    find_->consumed_ = image.consumed;
+    find_->carries_ = std::move(image.carries);
+  }
 }
 
 std::vector<Match> StreamSession::take_matches() {
-  if (!options_.positions)
+  if (!find_)
     throw ValidationError(
         "stream (take_matches): this session was not opened with positions — "
         "set QueryOptions::positions at Engine::stream to request streaming "
         "find");
+  return find_->take_matches();
+}
+
+void StreamSession::reset() {
+  carry_ = StreamCarry{};
+  if (find_) find_->reset();
+  poisoned_ = false;
+}
+
+// ------------------------------------------------------- MultiStreamSession
+
+MultiStreamSession::MultiStreamSession(std::vector<Pattern> patterns,
+                                       ThreadPool& pool, QueryOptions options)
+    : patterns_(std::move(patterns)),
+      carries_(patterns_.size()),
+      pool_(&pool),
+      options_(std::move(options)) {
+  options_.positions = true;  // implied, like Engine::find — this IS finding
+  validate_query(options_, kStreamFindingCaps, kStreamFindingContext);
+  const bool exact = options_.begin_mode == BeginMode::kExact;
+  reverses_.reserve(patterns_.size());
+  for (const Pattern& pattern : patterns_) {
+    // Pay the lazy builds at open, never inside a feed (Engine::stream's
+    // discipline) — a blow-up pattern trips ResourceExhausted here.
+    (void)pattern.searcher();
+    reverses_.push_back(exact ? &pattern.reverse_begins() : nullptr);
+  }
+}
+
+MultiStreamSession::MultiStreamSession(std::vector<Pattern> patterns,
+                                       ThreadPool& pool, QueryOptions options,
+                                       std::string_view checkpoint)
+    : MultiStreamSession(std::move(patterns), pool, std::move(options)) {
+  checkpoint::Image image =
+      checkpoint::decode(checkpoint, options_, /*decision=*/false, patterns_.size(),
+                         checkpoint::fleet_fingerprint(patterns_));
+  consumed_ = image.consumed;
+  carries_ = std::move(image.carries);
+}
+
+std::string MultiStreamSession::checkpoint(const StreamCarry* decision) const {
+  if (poisoned_)
+    throw ValidationError(
+        "stream_find (checkpoint): session is poisoned — some pattern carries "
+        "advanced past others, so there is no consistent state to save; "
+        "reset() and refeed, or resume an earlier checkpoint");
+  if (!pending_.empty())
+    throw ValidationError(
+        "stream_find (checkpoint): " + std::to_string(pending_.size()) +
+        " buffered matches are undrained — take_matches() first; checkpoints "
+        "never carry match payloads, so resuming would silently drop them");
+  return checkpoint::encode(decision, consumed_, carries_, options_,
+                            checkpoint::fleet_fingerprint(patterns_));
+}
+
+void MultiStreamSession::ensure_live() const {
+  if (poisoned_)
+    throw ValidationError(
+        "stream_find (feed): session is poisoned — a previous feed failed "
+        "mid-window (deadline, cancellation or fault), so some pattern "
+        "carries advanced and others did not; reset() to reuse the session "
+        "(take_matches() still drains what was buffered)");
+}
+
+void MultiStreamSession::feed(std::string_view bytes) {
+  feed(bytes, nullptr, QueryGovernor(options_.deadline, options_.cancel));
+}
+
+void MultiStreamSession::feed(std::string_view bytes, const MatchSink& sink) {
+  feed(bytes, &sink, QueryGovernor(options_.deadline, options_.cancel));
+}
+
+void MultiStreamSession::feed(std::string_view bytes, const MatchSink* sink,
+                              const QueryGovernor& governor) {
+  ensure_live();
+  try {
+    const QueryGovernor* gov = governor.active() ? &governor : nullptr;
+    const MatchSink buffer = [this](const Match& match) { pending_.push_back(match); };
+    const MatchSink& out = sink != nullptr ? *sink : buffer;
+    // Each pattern translates the window with its own searcher map.
+    const auto scan = [&](std::size_t p, const MatchSink& to) {
+      const Dfa& searcher = patterns_[p].searcher();
+      stream_find_feed(searcher, carries_[p], searcher.symbols().translate(bytes),
+                       *pool_, options_, to, static_cast<std::uint32_t>(p), gov,
+                       reverses_[p]);
+    };
+    if (patterns_.size() == 1) {
+      // One pattern's matches are already in stream order: no fan-out, no
+      // merge — the scan parallelizes at chunk level instead.
+      scan(0, out);
+      consumed_ += bytes.size();
+      return;
+    }
+    // One task per pattern, each collecting into a private buffer (the
+    // merge below needs the whole window's matches per pattern, so sinks
+    // cannot stream through — and a shared sink would race).
+    std::vector<std::vector<Match>> buffers(patterns_.size());
+    pool_->run(
+        patterns_.size(),
+        [&](std::size_t p) {
+          scan(p, [&buffers, p](const Match& match) { buffers[p].push_back(match); });
+        },
+        gov);
+    consumed_ += bytes.size();
+
+    // Merge, serialized per window: per-pattern buffers arrive ascending
+    // (end, begin) already, so one sort by the global order is cheap and
+    // deterministic (at most one match per (pattern, end) — no ties).
+    fault::maybe_throw("mpstream.merge");
+    std::vector<Match> merged;
+    for (const std::vector<Match>& buffer : buffers)
+      merged.insert(merged.end(), buffer.begin(), buffer.end());
+    std::sort(merged.begin(), merged.end());
+    for (const Match& match : merged) out(match);
+  } catch (...) {
+    poisoned_ = true;
+    throw;
+  }
+}
+
+std::vector<Match> MultiStreamSession::take_matches() {
   std::vector<Match> taken = std::move(pending_);
   pending_.clear();
   return taken;
+}
+
+std::uint64_t MultiStreamSession::matches() const {
+  std::uint64_t total = 0;
+  for (const FindCarry& carry : carries_) total += carry.matches;
+  return total;
+}
+
+std::uint64_t MultiStreamSession::transitions() const {
+  std::uint64_t total = 0;
+  for (const FindCarry& carry : carries_) total += carry.transitions;
+  return total;
+}
+
+void MultiStreamSession::reset() {
+  carries_.assign(patterns_.size(), FindCarry{});
+  pending_.clear();
+  consumed_ = 0;
+  poisoned_ = false;
 }
 
 }  // namespace rispar

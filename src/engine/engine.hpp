@@ -28,11 +28,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "engine/pattern.hpp"
+#include "parallel/match_count.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace rispar {
@@ -59,12 +62,12 @@ struct EngineConfig {
   /// or block — see parallel/thread_pool.hpp). Default: unbounded.
   PoolAdmission admission{};
   /// Run on THIS pool instead of owning one. A multi-tenant fleet of
-  /// Engines (one per pattern, the rispard serving catalog) shares one
-  /// work-stealing pool this way — N tenants, hardware-many workers, one
-  /// admission gate — instead of N× oversubscribed worker sets. When set,
-  /// `threads` and `admission` are ignored (the shared pool was already
-  /// built with its own); the pool must outlive every Engine holding it,
-  /// which shared ownership guarantees.
+  /// Engines (one per pattern) shares one work-stealing pool this way — N
+  /// tenants, hardware-many workers, one admission gate — instead of N×
+  /// oversubscribed worker sets. When set, `threads` and `admission` are
+  /// ignored (the shared pool was already built with its own); the pool
+  /// must outlive every Engine holding it, which shared ownership
+  /// guarantees.
   std::shared_ptr<ThreadPool> shared_pool{};
   /// Memoize Pattern compilation through THIS cache
   /// (engine/compile_cache.hpp). Consulted by the compile-from-source entry
@@ -175,17 +178,128 @@ class Engine {
   RidDevice rid_device_;
 };
 
+/// N patterns, one byte stream, one merged match stream — the one
+/// streaming-find session. PatternSet::stream_find opens it over a fleet,
+/// rispard builds it directly from a serving catalog, and a StreamSession
+/// opened with positions holds one over its own pattern. Offsets are
+/// absolute byte offsets into the concatenation of everything fed;
+/// Match::pattern_id indexes the construction vector.
+///
+/// With exactly one pattern a feed runs that pattern's stream_find_feed
+/// straight into the sink (its matches are already in stream order). With
+/// any other count each feed fans one stream_find_feed task per pattern
+/// over the shared pool (per-pattern chunk runs nest inline — ThreadPool
+/// reentrancy), then merges the window's matches ascending by (end, begin,
+/// pattern_id). Either way, feeding a text in any segmentation emits
+/// exactly the merged one-shot find_all list, which in turn equals N
+/// independent sessions (fuzz-tested).
+///
+/// Begin modes follow QueryOptions::begin_mode: kSeparator carries
+/// per-pattern last separators, kExact additionally holds each pattern's
+/// reverse-DFA artifact and history tail (built and pre-warmed at open).
+///
+/// Governance and poisoning: deadline/cancel apply PER FEED (one governor
+/// covers all N pattern scans of the window); a feed that fails part-way
+/// (deadline, cancellation, injected fault) leaves SOME patterns advanced
+/// and others not, so the session POISONS — further feeds throw
+/// ValidationError until reset(). Matches already buffered stay drainable;
+/// counters describe the last consistent merge. Not thread-safe: feed from
+/// one thread, in order.
+class MultiStreamSession {
+ public:
+  /// Validates `options` against the streaming-find capability set (throws
+  /// QueryError), pre-warms every searcher — and, under begin_mode=kExact,
+  /// every reverse artifact — at open, never inside a feed. The pool must
+  /// outlive the session (PatternSet::stream_find and Engine::stream
+  /// guarantee it; direct construction — the rispard catalog path — makes
+  /// the caller responsible).
+  MultiStreamSession(std::vector<Pattern> patterns, ThreadPool& pool,
+                     QueryOptions options);
+
+  /// Resume form: opens exactly like the plain constructor, then installs
+  /// the carries decoded from `checkpoint` (a MultiStreamSession::
+  /// checkpoint() blob taken against the same fleet in the same order).
+  /// ValidationError on any mismatch, corruption or truncation — the
+  /// session is never half-resumed. rispard's RESUME_SESSION path;
+  /// PatternSet::resume_stream is the convenience.
+  MultiStreamSession(std::vector<Pattern> patterns, ThreadPool& pool,
+                     QueryOptions options, std::string_view checkpoint);
+
+  /// Consumes the next window, buffering the merged matches for
+  /// take_matches(). Empty windows are no-ops.
+  void feed(std::string_view bytes);
+  /// Consumes the next window, draining the merged matches through `sink`
+  /// in (end, begin, pattern_id) order instead of buffering.
+  void feed(std::string_view bytes, const MatchSink& sink);
+
+  /// Takes the matches buffered since the last take; ascending
+  /// (end, begin, pattern_id), absolute byte offsets.
+  std::vector<Match> take_matches();
+
+  /// Total occurrences emitted so far, summed over all patterns.
+  std::uint64_t matches() const;
+  /// True when any pattern matched anywhere in the stream — the CLOSED
+  /// accounting of a server session.
+  bool accepted() const { return matches() > 0; }
+  std::uint64_t bytes_consumed() const { return consumed_; }
+  /// Searcher transitions executed so far, summed over all patterns.
+  std::uint64_t transitions() const;
+  std::size_t patterns() const { return patterns_.size(); }
+  const Pattern& pattern(std::size_t id) const { return patterns_[id]; }
+
+  /// True once a feed failed part-way; see the class comment.
+  bool poisoned() const { return poisoned_; }
+
+  /// Serializes every pattern's carry plus the shared byte count into a
+  /// versioned, checksummed blob (engine/checkpoint.hpp) for the resume
+  /// constructor / PatternSet::resume_stream. Callable between feeds,
+  /// repeatedly; the session stays usable. Two rejects (ValidationError,
+  /// nothing encoded): a POISONED session (some carries are mid-window)
+  /// and UNDRAINED buffered matches (checkpoints never carry match
+  /// payloads, so take_matches() first — resuming would otherwise silently
+  /// drop them).
+  std::string checkpoint() const { return checkpoint(nullptr); }
+
+  /// Forgets all input; the next feed() starts every pattern from its
+  /// initial state again. Also clears poisoning.
+  void reset();
+
+ private:
+  friend class StreamSession;
+
+  /// The one feed body. `sink` nullptr buffers for take_matches();
+  /// `governor` is the feed's one governor (a StreamSession shares its own
+  /// with the decision side).
+  void feed(std::string_view bytes, const MatchSink* sink,
+            const QueryGovernor& governor);
+  /// The one checkpoint body; `decision` is a StreamSession's carry
+  /// (nullptr for a find-only session).
+  std::string checkpoint(const StreamCarry* decision) const;
+  void ensure_live() const;
+
+  std::vector<Pattern> patterns_;
+  /// Each pattern's cached reverse artifact under kExact (address stable —
+  /// it lives in the shared Compiled block); nullptr under kSeparator.
+  std::vector<const ReverseBegins*> reverses_;
+  std::vector<FindCarry> carries_;  ///< one per pattern
+  ThreadPool* pool_;
+  QueryOptions options_;
+  std::uint64_t consumed_ = 0;
+  std::vector<Match> pending_;  ///< buffered matches awaiting take_matches()
+  bool poisoned_ = false;
+};
+
 /// A byte-level streaming session (texts larger than memory, fed window by
 /// window). Between windows only the device's PLAS carry survives — plus,
-/// on positions sessions, the searcher's one-state find carry — so the
-/// footprint is one window plus O(|carry|) plus any undrained matches.
-/// Obtained from Engine::stream(); not thread-safe — feed from one thread,
-/// in order.
+/// on positions sessions, a one-pattern MultiStreamSession over the same
+/// pattern (the searcher's one-state find carry) — so the footprint is one
+/// window plus O(|carry|) plus any undrained matches. Obtained from
+/// Engine::stream(); not thread-safe — feed from one thread, in order.
 ///
 /// Streaming find (sessions opened with QueryOptions::positions): every
-/// byte feed also advances the Σ*p searcher and emits Match records with
-/// ABSOLUTE byte offsets into the concatenation of everything fed. Two
-/// drain shapes:
+/// byte feed advances the decision carry AND the find session, and emits
+/// Match records with ABSOLUTE byte offsets into the concatenation of
+/// everything fed. Two drain shapes:
 ///   * feed(bytes) then take_matches() — the session buffers the window's
 ///     matches until taken (unbounded if never drained — drain per window);
 ///   * feed(bytes, sink) — the sink sees each match as the window joins;
@@ -200,14 +314,15 @@ class Engine {
 /// translates raw bytes with its own map) and REJECT on positions sessions.
 ///
 /// Governance and poisoning: QueryOptions::{deadline, cancel} apply PER
-/// FEED — each feed's governor starts at the feed call. A trip (or any
-/// other failure escaping a feed) leaves the carry mid-window, so the
-/// session is POISONED: further feeds throw ValidationError
-/// deterministically until reset(). Matches already buffered remain
-/// drainable through take_matches(), accepted()/dead()/the counters stay
-/// readable (they describe the last consistent join), and destruction is
-/// always clean. Precondition rejects (wrong feed shape for the session)
-/// never poison — nothing ran.
+/// FEED — each feed builds one governor at the feed call, shared by the
+/// decision window and the find side. A trip (or any other failure
+/// escaping a feed) leaves the carry mid-window, so the session is
+/// POISONED: further feeds throw ValidationError deterministically until
+/// reset(). Matches already buffered remain drainable through
+/// take_matches(), accepted()/dead()/the counters stay readable (they
+/// describe the last consistent join), and destruction is always clean.
+/// Precondition rejects (wrong feed shape for the session) never poison —
+/// nothing ran.
 class StreamSession {
  public:
   /// Consumes the next window (may be empty — a no-op). On positions
@@ -236,16 +351,16 @@ class StreamSession {
   std::vector<Match> take_matches();
 
   /// Total occurrences emitted so far (buffered + drained + taken).
-  std::uint64_t matches() const { return carry_.find.matches; }
+  std::uint64_t matches() const { return find_ ? find_->matches() : 0; }
   /// Whether this session emits positions (opened with
   /// QueryOptions::positions).
-  bool finds_positions() const { return options_.positions; }
+  bool finds_positions() const { return find_.has_value(); }
 
   Variant variant() const { return device_->variant(); }
   std::uint64_t transitions() const { return carry_.transitions; }
   std::uint64_t windows() const { return carry_.windows; }
   /// Bytes consumed by the find side so far (positions sessions).
-  std::uint64_t bytes_consumed() const { return carry_.find.consumed; }
+  std::uint64_t bytes_consumed() const { return find_ ? find_->bytes_consumed() : 0; }
 
   /// True once a feed failed part-way (deadline, cancellation, injected
   /// fault): the carry is mid-window and further feeds reject until
@@ -256,38 +371,35 @@ class StreamSession {
   /// find carry, counters, the kExact history tail — into a versioned,
   /// checksummed blob for Engine::resume_stream (engine/checkpoint.hpp has
   /// the format). Callable between feeds, repeatedly; the session stays
-  /// usable. Two rejects (ValidationError, nothing encoded): a POISONED
-  /// session (its carry is mid-window — there is no consistent state to
-  /// save) and UNDRAINED buffered matches (checkpoints never carry match
-  /// payloads, so take_matches() first — resuming would otherwise silently
-  /// drop them).
+  /// usable. Rejects exactly like MultiStreamSession::checkpoint(): a
+  /// POISONED session and UNDRAINED buffered matches (ValidationError,
+  /// nothing encoded).
   std::string checkpoint() const;
 
   /// Forgets all input; the next feed() starts from the initial state again.
   /// Also clears poisoning — the session is reusable after a tripped feed.
-  void reset() {
-    carry_ = StreamCarry{};
-    pending_.clear();
-    poisoned_ = false;
-  }
+  void reset();
 
  private:
   friend class Engine;
   StreamSession(const Device& device, Pattern pattern, ThreadPool& pool,
-                QueryOptions options)
-      : device_(&device), pattern_(std::move(pattern)), pool_(&pool),
-        options_(std::move(options)) {}
+                QueryOptions options);
 
   /// Throws ValidationError when the session is poisoned (call before any
   /// feed runs — preconditions that reject BEFORE this never poison).
   void ensure_live() const;
+  /// The one byte-feed body: the decision window, then (positions
+  /// sessions) the find side, under one governor. `sink` nullptr buffers.
+  void feed(std::string_view bytes, const MatchSink* sink);
+  /// Installs the state of a checkpoint() blob (Engine::resume_stream).
+  void resume(std::string_view blob);
 
   const Device* device_;
   Pattern pattern_;  ///< shared ownership keeps the automata alive
   ThreadPool* pool_;
   QueryOptions options_;
   StreamCarry carry_;
-  std::vector<Match> pending_;  ///< buffered matches awaiting take_matches()
+  std::optional<MultiStreamSession> find_;  ///< positions sessions only
   bool poisoned_ = false;  ///< a feed failed mid-window; see class comment
 };
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/checkpoint.hpp"
 #include "engine/compile_cache.hpp"
 #include "parallel/match_count.hpp"
-#include "util/fault_inject.hpp"
 
 namespace rispar {
 
@@ -15,10 +13,6 @@ namespace {
 constexpr const char* kPatternSetContext =
     "PatternSet::find (the position-emitting counting kernel per pattern; "
     "it honors chunks, convergence, begin_mode and offset/limit)";
-
-constexpr const char* kMultiStreamContext =
-    "PatternSet::stream_find (the multi-pattern window-fed kernel; it "
-    "honors chunks, convergence and begin_mode)";
 
 /// Merges the N per-pattern scans of one text into one QueryResult:
 /// positions ascending by (end, begin, pattern_id) — unique, since each
@@ -43,12 +37,7 @@ QueryResult merge_text(std::span<QueryResult> per_pattern, const QueryOptions& o
     merged.positions.insert(merged.positions.end(),
                             std::make_move_iterator(r.positions.begin()),
                             std::make_move_iterator(r.positions.end()));
-  std::sort(merged.positions.begin(), merged.positions.end(),
-            [](const Match& a, const Match& b) {
-              if (a.end != b.end) return a.end < b.end;
-              if (a.begin != b.begin) return a.begin < b.begin;
-              return a.pattern_id < b.pattern_id;
-            });
+  std::sort(merged.positions.begin(), merged.positions.end());
   // Page the MERGED stream (the per-pattern kernels ran unpaged — a global
   // window cannot be cut per pattern).
   if (options.offset >= merged.positions.size()) {
@@ -164,151 +153,6 @@ MultiStreamSession PatternSet::stream_find(const QueryOptions& options) const {
 MultiStreamSession PatternSet::resume_stream(std::string_view blob,
                                              const QueryOptions& options) const {
   return MultiStreamSession(patterns_, *pool_, options, blob);
-}
-
-MultiStreamSession::MultiStreamSession(std::vector<Pattern> patterns,
-                                       ThreadPool& pool, QueryOptions options)
-    : pool_(&pool), options_(std::move(options)) {
-  options_.positions = true;  // implied, like Engine::find — this IS finding
-  validate_query(options_, kStreamFindingCaps, kMultiStreamContext);
-  const bool exact = options_.begin_mode == BeginMode::kExact;
-  states_.reserve(patterns.size());
-  for (Pattern& pattern : patterns) {
-    PatternState state{std::move(pattern)};
-    // Pay the lazy builds at open, never inside a feed (Engine::stream's
-    // discipline) — a blow-up pattern trips ResourceExhausted here.
-    (void)state.pattern.searcher();
-    if (exact) state.reverse = &state.pattern.reverse_begins();
-    states_.push_back(std::move(state));
-  }
-}
-
-MultiStreamSession::MultiStreamSession(std::vector<Pattern> patterns,
-                                       ThreadPool& pool, QueryOptions options,
-                                       std::string_view checkpoint)
-    : MultiStreamSession(std::move(patterns), pool, std::move(options)) {
-  std::vector<Pattern> fleet;
-  fleet.reserve(states_.size());
-  for (const PatternState& state : states_) fleet.push_back(state.pattern);
-  checkpoint::MultiImage image = checkpoint::decode_multi(
-      checkpoint, states_.size(), options_, checkpoint::fleet_fingerprint(fleet));
-  consumed_ = image.consumed;
-  for (std::size_t p = 0; p < states_.size(); ++p)
-    states_[p].carry = std::move(image.carries[p]);
-}
-
-std::string MultiStreamSession::checkpoint() const {
-  if (poisoned_)
-    throw ValidationError(
-        "stream_find (checkpoint): session is poisoned — some pattern carries "
-        "advanced past others, so there is no consistent state to save; "
-        "reset() and refeed, or resume an earlier checkpoint");
-  if (!pending_.empty())
-    throw ValidationError(
-        "stream_find (checkpoint): " + std::to_string(pending_.size()) +
-        " buffered matches are undrained — take_matches() first; checkpoints "
-        "never carry match payloads, so resuming would silently drop them");
-  std::vector<const FindCarry*> carries;
-  std::vector<Pattern> fleet;
-  carries.reserve(states_.size());
-  fleet.reserve(states_.size());
-  for (const PatternState& state : states_) {
-    carries.push_back(&state.carry);
-    fleet.push_back(state.pattern);
-  }
-  return checkpoint::encode_multi(carries, consumed_, options_,
-                                  checkpoint::fleet_fingerprint(fleet));
-}
-
-void MultiStreamSession::ensure_live() const {
-  if (poisoned_)
-    throw ValidationError(
-        "stream_find (feed): session is poisoned — a previous feed failed "
-        "mid-window (deadline, cancellation or fault), so some pattern "
-        "carries advanced and others did not; reset() to reuse the session "
-        "(take_matches() still drains what was buffered)");
-}
-
-void MultiStreamSession::feed(std::string_view bytes) {
-  feed_merged(bytes, [this](const Match& match) { pending_.push_back(match); });
-}
-
-void MultiStreamSession::feed(std::string_view bytes, const MatchSink& sink) {
-  feed_merged(bytes, sink);
-}
-
-void MultiStreamSession::feed_merged(std::string_view bytes, const MatchSink& sink) {
-  ensure_live();
-  try {
-    // One governor per FEED, shared by all N pattern scans — the deadline
-    // budgets the whole window, not each pattern separately.
-    const QueryGovernor governor(options_.deadline, options_.cancel);
-    const QueryGovernor* gov = governor.active() ? &governor : nullptr;
-
-    // Fan one streaming-find task per pattern; each translates the window
-    // with its own searcher map and collects into a private buffer (the
-    // merge below needs the whole window's matches per pattern, so sinks
-    // cannot stream through — and a shared sink would race).
-    std::vector<std::vector<Match>> buffers(states_.size());
-    pool_->run(
-        states_.size(),
-        [&](std::size_t p) {
-          PatternState& state = states_[p];
-          const Dfa& searcher = state.pattern.searcher();
-          const std::vector<Symbol> window = searcher.symbols().translate(bytes);
-          stream_find_feed(
-              searcher, state.carry, window, *pool_, options_,
-              [&buffers, p](const Match& match) { buffers[p].push_back(match); },
-              static_cast<std::uint32_t>(p), gov, state.reverse);
-        },
-        gov);
-    consumed_ += bytes.size();
-
-    // Merge, serialized per window: per-pattern buffers arrive ascending
-    // (end, begin) already, so one sort by the global order is cheap and
-    // deterministic (at most one match per (pattern, end) — no ties).
-    fault::maybe_throw("mpstream.merge");
-    std::vector<Match> merged;
-    std::size_t total = 0;
-    for (const std::vector<Match>& buffer : buffers) total += buffer.size();
-    merged.reserve(total);
-    for (std::vector<Match>& buffer : buffers)
-      merged.insert(merged.end(), buffer.begin(), buffer.end());
-    std::sort(merged.begin(), merged.end(), [](const Match& a, const Match& b) {
-      if (a.end != b.end) return a.end < b.end;
-      if (a.begin != b.begin) return a.begin < b.begin;
-      return a.pattern_id < b.pattern_id;
-    });
-    for (const Match& match : merged) sink(match);
-  } catch (...) {
-    poisoned_ = true;
-    throw;
-  }
-}
-
-std::vector<Match> MultiStreamSession::take_matches() {
-  std::vector<Match> taken = std::move(pending_);
-  pending_.clear();
-  return taken;
-}
-
-std::uint64_t MultiStreamSession::matches() const {
-  std::uint64_t total = 0;
-  for (const PatternState& state : states_) total += state.carry.matches;
-  return total;
-}
-
-std::uint64_t MultiStreamSession::transitions() const {
-  std::uint64_t total = 0;
-  for (const PatternState& state : states_) total += state.carry.transitions;
-  return total;
-}
-
-void MultiStreamSession::reset() {
-  for (PatternState& state : states_) state.carry = FindCarry{};
-  pending_.clear();
-  consumed_ = 0;
-  poisoned_ = false;
 }
 
 }  // namespace rispar

@@ -40,8 +40,6 @@
 
 namespace rispar {
 
-class MultiStreamSession;
-
 class PatternSet {
  public:
   /// Takes ownership of already-compiled patterns (shared-ownership copies
@@ -91,123 +89,24 @@ class PatternSet {
 
   /// Opens a multi-pattern streaming-find session: ONE byte feed advances
   /// every pattern's searcher carry and emits the merged tagged match
-  /// stream (see MultiStreamSession). Honors chunks, convergence and
-  /// begin_mode; anything else raises QueryError at open. The session
-  /// borrows this set's pool — it must not outlive the PatternSet.
+  /// stream (see MultiStreamSession in engine/engine.hpp). Honors chunks,
+  /// convergence and begin_mode; anything else raises QueryError at open.
+  /// The session borrows this set's pool — it must not outlive the
+  /// PatternSet.
   MultiStreamSession stream_find(const QueryOptions& options = {}) const;
 
   /// Reopens a multi-pattern session from a MultiStreamSession::checkpoint()
   /// blob, continuing byte-exact (the Engine::resume_stream analogue —
   /// engine/checkpoint.hpp). The blob must have been taken against the SAME
   /// fleet in the SAME order (validated via a combined content fingerprint)
-  /// and `options` must request the same shape; any mismatch, corruption or
-  /// truncation throws ValidationError.
+  /// and `options` must request the same shape; any mismatch, corruption,
+  /// truncation or StreamSession blob throws ValidationError.
   MultiStreamSession resume_stream(std::string_view blob,
                                    const QueryOptions& options = {}) const;
 
  private:
   std::vector<Pattern> patterns_;
   std::unique_ptr<ThreadPool> pool_;
-};
-
-/// N patterns, one byte stream, one merged match stream — the streaming
-/// face of PatternSet::find_all (and of the rispard multi-pattern sessions
-/// built directly from a serving catalog). Each feed fans one
-/// stream_find_feed task per pattern over the shared pool (per-pattern
-/// chunk runs nest inline — ThreadPool reentrancy), then merges the
-/// window's matches ascending by (end, begin, pattern_id) — feeding a text
-/// in any segmentation emits exactly the merged one-shot find_all list,
-/// which in turn equals N independent single-pattern sessions
-/// (fuzz-tested). Offsets are absolute byte offsets into the concatenation
-/// of everything fed; Match::pattern_id indexes the construction vector.
-///
-/// Begin modes follow QueryOptions::begin_mode exactly like StreamSession:
-/// kSeparator carries per-pattern last separators, kExact additionally
-/// holds each pattern's reverse-DFA artifact and history tail (built and
-/// pre-warmed at open).
-///
-/// Governance and poisoning mirror StreamSession: deadline/cancel apply PER
-/// FEED (one governor covers all N pattern scans of the window); a feed
-/// that fails part-way (deadline, cancellation, injected fault) leaves
-/// SOME patterns advanced and others not, so the session POISONS — further
-/// feeds throw ValidationError until reset(). Matches already buffered stay
-/// drainable; counters describe the last consistent merge. Not
-/// thread-safe: feed from one thread, in order.
-class MultiStreamSession {
- public:
-  /// Validates `options` against the streaming-find capability set (throws
-  /// QueryError), pre-warms every searcher — and, under begin_mode=kExact,
-  /// every reverse artifact — at open, never inside a feed. The pool must
-  /// outlive the session (PatternSet::stream_find guarantees it; direct
-  /// construction — the rispard catalog path — makes the caller
-  /// responsible).
-  MultiStreamSession(std::vector<Pattern> patterns, ThreadPool& pool,
-                     QueryOptions options);
-
-  /// Resume form: opens exactly like the plain constructor, then installs
-  /// the carries decoded from `checkpoint` (a MultiStreamSession::
-  /// checkpoint() blob taken against the same fleet in the same order).
-  /// ValidationError on any mismatch, corruption or truncation — the
-  /// session is never half-resumed. rispard's RESUME_SESSION path for
-  /// multi-pattern sessions; PatternSet::resume_stream is the convenience.
-  MultiStreamSession(std::vector<Pattern> patterns, ThreadPool& pool,
-                     QueryOptions options, std::string_view checkpoint);
-
-  /// Consumes the next window, buffering the merged matches for
-  /// take_matches(). Empty windows are no-ops.
-  void feed(std::string_view bytes);
-  /// Consumes the next window, draining the merged matches through `sink`
-  /// in (end, begin, pattern_id) order instead of buffering.
-  void feed(std::string_view bytes, const MatchSink& sink);
-
-  /// Takes the matches buffered since the last take; ascending
-  /// (end, begin, pattern_id), absolute byte offsets.
-  std::vector<Match> take_matches();
-
-  /// Total occurrences emitted so far, summed over all patterns.
-  std::uint64_t matches() const;
-  /// True when any pattern matched anywhere in the stream — the CLOSED
-  /// accounting of a server session.
-  bool accepted() const { return matches() > 0; }
-  std::uint64_t bytes_consumed() const { return consumed_; }
-  /// Searcher transitions executed so far, summed over all patterns.
-  std::uint64_t transitions() const;
-  std::size_t patterns() const { return states_.size(); }
-  const Pattern& pattern(std::size_t id) const { return states_[id].pattern; }
-
-  /// True once a feed failed part-way; see the class comment.
-  bool poisoned() const { return poisoned_; }
-
-  /// Serializes every pattern's carry plus the shared byte count into a
-  /// versioned, checksummed blob for the resume constructor /
-  /// PatternSet::resume_stream. Same contract as StreamSession::
-  /// checkpoint(): callable between feeds, rejects (ValidationError) on a
-  /// poisoned session and on undrained buffered matches — take_matches()
-  /// first.
-  std::string checkpoint() const;
-
-  /// Forgets all input; the next feed() starts every pattern from its
-  /// initial state again. Also clears poisoning.
-  void reset();
-
- private:
-  struct PatternState {
-    Pattern pattern;
-    /// The pattern's cached reverse artifact under kExact (address stable —
-    /// it lives in the shared Compiled block); nullptr under kSeparator.
-    const ReverseBegins* reverse = nullptr;
-    FindCarry carry;
-  };
-
-  void feed_merged(std::string_view bytes, const MatchSink& sink);
-  void ensure_live() const;
-
-  std::vector<PatternState> states_;
-  ThreadPool* pool_;
-  QueryOptions options_;
-  std::uint64_t consumed_ = 0;
-  std::vector<Match> pending_;  ///< buffered matches awaiting take_matches()
-  bool poisoned_ = false;
 };
 
 }  // namespace rispar

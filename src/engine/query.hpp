@@ -20,6 +20,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "parallel/ca_run.hpp"
@@ -92,6 +93,11 @@ struct Match {
   std::uint64_t end = 0;
 
   bool operator==(const Match&) const = default;
+  /// The merged-stream order: ascending (end, begin, pattern_id).
+  friend bool operator<(const Match& a, const Match& b) {
+    return std::tie(a.end, a.begin, a.pattern_id) <
+           std::tie(b.end, b.begin, b.pattern_id);
+  }
 };
 
 /// Consumer of incrementally emitted matches (streaming find): invoked once

@@ -33,24 +33,19 @@ bool is_bundle_entry(std::string_view manifest_line) {
 
 std::shared_ptr<const PatternCatalog> build_catalog(
     const std::vector<std::string>& regexes, std::uint64_t generation,
-    std::shared_ptr<ThreadPool> pool, const EngineConfig& base_config) {
+    const EngineConfig& base_config) {
   auto catalog = std::make_shared<PatternCatalog>();
   catalog->generation = generation;
   catalog->patterns.reserve(regexes.size());
   const auto& cache = base_config.compile_cache;
 
   const auto add_tenant = [&](std::string display, Pattern pattern) {
-    EngineConfig config = base_config;
-    config.shared_pool = pool;
-    TenantPattern tenant;
-    tenant.regex = std::move(display);
-    tenant.engine = std::make_unique<Engine>(std::move(pattern), config);
     // Pre-warm the Σ*p searcher (streaming find runs on it): a blow-up
     // pattern trips ResourceExhausted HERE — at reload, where the old
     // generation still serves — never inside a session open or feed. A
     // bundle-shipped searcher makes this a no-op.
-    (void)tenant.engine->searcher();
-    catalog->patterns.push_back(std::move(tenant));
+    (void)pattern.searcher(base_config.subset_budget);
+    catalog->patterns.push_back({std::move(display), std::move(pattern)});
   };
 
   for (const std::string& entry : regexes) {

@@ -1,19 +1,20 @@
 // The multi-tenant pattern catalog behind rispard's RELOAD.
 //
 // One PatternCatalog is an IMMUTABLE generation of the serving set: N
-// compiled patterns, each bound to an Engine, all sharing the server's one
-// work-stealing pool (EngineConfig::shared_pool). The server holds the
-// current generation behind a std::atomic<std::shared_ptr<...>>; RELOAD (or
-// SIGHUP) builds a whole new catalog off to the side and swaps the pointer
-// in one atomic store:
+// compiled patterns, the ids every OPEN_SESSION subscribes by. Each session
+// is one MultiStreamSession over its subscribed patterns, running on the
+// server's one work-stealing pool. The server holds the current generation
+// behind a std::atomic<std::shared_ptr<...>>; RELOAD (or SIGHUP) builds a
+// whole new catalog off to the side and swaps the pointer in one atomic
+// store:
 //
 //  * sessions opened BEFORE the swap copied the shared_ptr at open and keep
 //    feeding against the generation they opened with — a reload never tears
 //    an in-flight session;
-//  * the retired generation (and its Engines, whose devices the sessions'
-//    StreamSessions point into) is destroyed when the LAST such session
-//    closes — plain shared_ptr reference counting, property-tested in
-//    tests/test_server.cpp (RispardReload.OldSetOutlivesItsSessions);
+//  * the retired generation (and its Patterns, whose compiled automata the
+//    sessions scan) is destroyed when the LAST such session closes — plain
+//    shared_ptr reference counting, tested in tests/test_server.cpp
+//    (RispardReload.RetiredGenerationIsFreedWhenItsLastSessionCloses);
 //  * a reload that fails to compile leaves the current generation in place:
 //    swap-on-success, never swap-then-fix.
 //
@@ -28,15 +29,14 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/engine.hpp"
+#include "engine/engine.hpp"  // Pattern, EngineConfig
 
 namespace rispar::rispard {
 
-/// One tenant: the manifest line and the Engine serving it. Engines are not
-/// movable, hence the unique_ptr.
+/// One tenant: the manifest line and its compiled pattern.
 struct TenantPattern {
   std::string regex;
-  std::unique_ptr<Engine> engine;
+  Pattern pattern;
 };
 
 /// One immutable generation of the serving set.
@@ -56,18 +56,18 @@ std::vector<std::string> parse_manifest(std::string_view text);
 /// the cold-start path of docs/rispard.md "Bundle deployment".
 bool is_bundle_entry(std::string_view manifest_line);
 
-/// Compiles every manifest entry into a catalog whose Engines share `pool`.
-/// Regex entries compile (through base_config.compile_cache when set — an
-/// unchanged manifest reloads as pure cache hits); .rpb entries map their
-/// bundles and expand to every contained pattern (cached under the file's
-/// identity stamp). The Σ*p searcher each streaming-find session needs is
-/// pre-warmed here, at reload time, so no session-open or feed ever pays a
-/// lazy subset construction. Throws RegexError on a malformed pattern,
-/// ResourceExhausted when a construction budget trips, and ValidationError /
-/// std::system_error on a bad bundle — in every case the caller keeps
-/// serving the old generation.
+/// Compiles every manifest entry into a catalog. Regex entries compile
+/// (through base_config.compile_cache when set — an unchanged manifest
+/// reloads as pure cache hits); .rpb entries map their bundles and expand
+/// to every contained pattern (cached under the file's identity stamp). The
+/// Σ*p searcher each streaming-find session needs is pre-warmed here, under
+/// base_config.subset_budget, at reload time, so no session-open or feed
+/// ever pays a lazy subset construction. Throws RegexError on a malformed
+/// pattern, ResourceExhausted when a construction budget trips, and
+/// ValidationError / std::system_error on a bad bundle — in every case the
+/// caller keeps serving the old generation.
 std::shared_ptr<const PatternCatalog> build_catalog(
     const std::vector<std::string>& regexes, std::uint64_t generation,
-    std::shared_ptr<ThreadPool> pool, const EngineConfig& base_config);
+    const EngineConfig& base_config);
 
 }  // namespace rispar::rispard

@@ -16,13 +16,11 @@
 // documented in docs/rispard.md.
 //
 // Client -> server:
-//   OPEN_SESSION {session_id, pattern_id, feed_deadline_ns, chunks [, flags]}
-//                single-pattern (the trailing flags byte is optional — a
-//                kOpenFlag* mask, absent = 0); pattern_id == kMultiPattern
-//                selects the MULTI-PATTERN form, whose payload continues with
-//                {flags, count, count x pattern_id} — count == 0 subscribes
-//                the tenant's WHOLE catalog generation (flags bit 0 requests
-//                begin_mode=exact; other bits must be zero)
+//   OPEN_SESSION {session_id, feed_deadline_ns, chunks, flags, count,
+//                count x pattern_id}   one streaming-find session over the
+//                listed catalog ids; count == 0 subscribes the tenant's
+//                WHOLE catalog generation. flags is a kOpenFlag* mask (bit
+//                0 requests begin_mode=exact; other bits must be zero)
 //   FEED         {session_id, bytes...}        one streaming-find window
 //   CLOSE        {session_id}
 //   STATS        {}                            server + pool counters as JSON
@@ -30,33 +28,30 @@
 //                                              re-read the manifest file)
 //   CHECKPOINT   {session_id}                  request the session's durable
 //                                              state; answered by CHECKPOINTED
-//                                              once in-flight feeds finish
-//   RESUME_SESSION {session_id, pattern_id, feed_deadline_ns, chunks, flags}
-//                then, in the multi-pattern form (pattern_id ==
-//                kMultiPattern), {count, count x pattern_id}; the REST of the
-//                payload is an opaque checkpoint blob (from CHECKPOINTED or
-//                DRAINING). Opens a session that continues byte-exact from
-//                the blob — same validation as OPEN_SESSION plus blob
-//                integrity/identity checks; answered by OPENED
+//                                              in order with the session's
+//                                              FEED and CLOSE requests
+//   RESUME_SESSION {OPEN_SESSION payload, blob}  the REST of the payload is
+//                an opaque checkpoint blob (from CHECKPOINTED or DRAINING).
+//                Opens a session that continues byte-exact from the blob —
+//                same validation as OPEN_SESSION plus blob integrity/identity
+//                checks; answered by OPENED
 //
 // Server -> client:
-//   OPENED      {session_id, pattern_id, generation}   multi-pattern opens
-//               echo kMultiPattern as the pattern_id
+//   OPENED      {session_id, generation}
 //   MATCHES     {session_id, count, count x {pattern_id, begin, end}}
-//               pattern_id is the CATALOG id (manifest line order) in both
-//               session forms — multi-pattern sessions remap their internal
-//               indices before framing
+//               pattern_id is the CATALOG id (manifest line order)
 //   FED         {session_id, consumed_total, matches_total}    per-FEED ack
-//   CLOSED      {session_id, matches_total, accepted}
+//   CLOSED      {session_id, matches_total, accepted}  accepted =
+//               matches_total > 0
 //   STATS_JSON  {json bytes}
 //   RELOADED    {generation, pattern_count}
 //   ERROR       {session_id | kNoSession, code, message bytes}
-//   CHECKPOINTED {session_id, pattern_id, blob}   reply to CHECKPOINT; the
-//               blob resumes via RESUME_SESSION (here or after reconnect)
-//   DRAINING    {session_id, pattern_id, blob}    unsolicited at drain (and
-//               idle reaping): the session's final checkpoint. The terminal
-//               form {kNoSession} (no further fields) means every session on
-//               the connection has drained and the server will close it
+//   CHECKPOINTED {session_id, blob}   reply to CHECKPOINT; the blob resumes
+//               via RESUME_SESSION (here or after reconnect)
+//   DRAINING    {session_id, blob}    unsolicited at drain (and idle
+//               reaping): the session's final checkpoint. The terminal form
+//               {kNoSession} (no blob) means every session on the
+//               connection has drained and the server will close it
 #pragma once
 
 #include <algorithm>
@@ -120,13 +115,7 @@ const char* error_code_name(ErrorCode code);
 /// are client-chosen, so 0 is a legal id and cannot be the sentinel).
 inline constexpr std::uint32_t kNoSession = 0xffffffffu;
 
-/// OPEN_SESSION pattern_id sentinel selecting the multi-pattern session
-/// form (the payload then carries a flags byte and an explicit id list; see
-/// the header comment). Catalogs are capped far below this, so no real
-/// pattern can collide with it. OPENED echoes it back.
-inline constexpr std::uint32_t kMultiPattern = 0xfffffffeu;
-
-/// OPEN_SESSION multi-pattern flags (bit mask; unknown bits reject).
+/// OPEN_SESSION flags (bit mask; unknown bits reject).
 inline constexpr std::uint8_t kOpenFlagExactBegins = 0x01;
 
 /// Frame header: u32 length + u8 type.
@@ -279,43 +268,43 @@ class FrameReader {
 
 // -------------------------------------------------- request frame builders
 
-/// `flags` is a kOpenFlag* mask (kOpenFlagExactBegins requests
-/// begin_mode=exact). Encoded as an optional trailing byte: 0 is omitted,
-/// so frames from older builders parse identically.
-inline std::string make_open_session(std::uint32_t session_id, std::uint32_t pattern_id,
-                                     std::uint64_t feed_deadline_ns,
-                                     std::uint32_t chunks, std::uint8_t flags = 0) {
+/// OPEN_SESSION payload (RESUME_SESSION appends the blob to it).
+inline std::string open_session_payload(std::uint32_t session_id,
+                                        std::uint64_t feed_deadline_ns,
+                                        std::uint32_t chunks,
+                                        const std::vector<std::uint32_t>& pattern_ids,
+                                        std::uint8_t flags) {
   std::string payload;
   put_u32(payload, session_id);
-  put_u32(payload, pattern_id);
-  put_u64(payload, feed_deadline_ns);
-  put_u32(payload, chunks);
-  if (flags != 0) put_u8(payload, flags);
-  std::string frame;
-  put_frame(frame, FrameType::kOpenSession, payload);
-  return frame;
-}
-
-/// The multi-pattern OPEN_SESSION form: subscribes `pattern_ids` (catalog
-/// ids; empty = the whole catalog generation) to one merged streaming-find
-/// session. `flags` is a kOpenFlag* mask (kOpenFlagExactBegins requests
-/// begin_mode=exact on every subscribed pattern).
-inline std::string make_open_session_multi(std::uint32_t session_id,
-                                           std::uint64_t feed_deadline_ns,
-                                           std::uint32_t chunks,
-                                           const std::vector<std::uint32_t>& pattern_ids,
-                                           std::uint8_t flags = 0) {
-  std::string payload;
-  put_u32(payload, session_id);
-  put_u32(payload, kMultiPattern);
   put_u64(payload, feed_deadline_ns);
   put_u32(payload, chunks);
   put_u8(payload, flags);
   put_u32(payload, static_cast<std::uint32_t>(pattern_ids.size()));
   for (const std::uint32_t id : pattern_ids) put_u32(payload, id);
+  return payload;
+}
+
+/// OPEN_SESSION over `pattern_ids` (catalog ids; empty = the whole catalog
+/// generation). `flags` is a kOpenFlag* mask (kOpenFlagExactBegins
+/// requests begin_mode=exact on every subscribed pattern).
+inline std::string make_open_session_multi(std::uint32_t session_id,
+                                           std::uint64_t feed_deadline_ns,
+                                           std::uint32_t chunks,
+                                           const std::vector<std::uint32_t>& pattern_ids,
+                                           std::uint8_t flags = 0) {
   std::string frame;
-  put_frame(frame, FrameType::kOpenSession, payload);
+  put_frame(frame, FrameType::kOpenSession,
+            open_session_payload(session_id, feed_deadline_ns, chunks, pattern_ids,
+                                 flags));
   return frame;
+}
+
+/// OPEN_SESSION over the one catalog pattern `pattern_id`.
+inline std::string make_open_session(std::uint32_t session_id, std::uint32_t pattern_id,
+                                     std::uint64_t feed_deadline_ns,
+                                     std::uint32_t chunks, std::uint8_t flags = 0) {
+  return make_open_session_multi(session_id, feed_deadline_ns, chunks, {pattern_id},
+                                 flags);
 }
 
 inline std::string make_feed(std::uint32_t session_id, std::string_view bytes) {
@@ -343,41 +332,16 @@ inline std::string make_checkpoint(std::uint32_t session_id) {
   return frame;
 }
 
-/// Single-pattern RESUME_SESSION: the OPEN_SESSION prefix (with a MANDATORY
-/// flags byte — the blob's begin mode must be re-requested explicitly) plus
-/// the opaque checkpoint blob as the rest of the payload.
+/// RESUME_SESSION: the OPEN_SESSION payload (the flags must re-request the
+/// blob's begin mode; count == 0 = whole catalog, which the blob's carry
+/// count must then match) plus the opaque checkpoint blob.
 inline std::string make_resume_session(std::uint32_t session_id,
-                                       std::uint32_t pattern_id,
                                        std::uint64_t feed_deadline_ns,
-                                       std::uint32_t chunks, std::uint8_t flags,
-                                       std::string_view checkpoint) {
-  std::string payload;
-  put_u32(payload, session_id);
-  put_u32(payload, pattern_id);
-  put_u64(payload, feed_deadline_ns);
-  put_u32(payload, chunks);
-  put_u8(payload, flags);
-  payload.append(checkpoint);
-  std::string frame;
-  put_frame(frame, FrameType::kResumeSession, payload);
-  return frame;
-}
-
-/// Multi-pattern RESUME_SESSION: like make_open_session_multi (explicit
-/// count keeps the trailing blob unambiguous; count == 0 = whole catalog,
-/// which the blob's carry count must then match) plus the blob.
-inline std::string make_resume_session_multi(
-    std::uint32_t session_id, std::uint64_t feed_deadline_ns, std::uint32_t chunks,
-    const std::vector<std::uint32_t>& pattern_ids, std::uint8_t flags,
-    std::string_view checkpoint) {
-  std::string payload;
-  put_u32(payload, session_id);
-  put_u32(payload, kMultiPattern);
-  put_u64(payload, feed_deadline_ns);
-  put_u32(payload, chunks);
-  put_u8(payload, flags);
-  put_u32(payload, static_cast<std::uint32_t>(pattern_ids.size()));
-  for (const std::uint32_t id : pattern_ids) put_u32(payload, id);
+                                       std::uint32_t chunks,
+                                       const std::vector<std::uint32_t>& pattern_ids,
+                                       std::uint8_t flags, std::string_view checkpoint) {
+  std::string payload =
+      open_session_payload(session_id, feed_deadline_ns, chunks, pattern_ids, flags);
   payload.append(checkpoint);
   std::string frame;
   put_frame(frame, FrameType::kResumeSession, payload);
@@ -465,13 +429,10 @@ inline int connect_backoff(std::uint16_t port, int max_attempts = 50,
 /// CHECKPOINTED/DRAINING frame it receives.
 struct ResumeSpec {
   std::uint32_t session_id = 0;
-  /// kMultiPattern selects the multi-pattern resume form (with
-  /// `pattern_ids`); any other value is the single-pattern catalog id.
-  std::uint32_t pattern_id = 0;
   std::uint64_t feed_deadline_ns = 0;
   std::uint32_t chunks = 1;
   std::uint8_t flags = 0;  ///< kOpenFlag* mask — must match the blob's mode
-  std::vector<std::uint32_t> pattern_ids;  ///< multi form only
+  std::vector<std::uint32_t> pattern_ids;  ///< catalog ids; empty = whole catalog
   std::string checkpoint;
 };
 
@@ -487,13 +448,8 @@ inline int reconnect_and_resume(std::uint16_t port, const ResumeSpec& spec,
   const int fd = connect_backoff(port, max_attempts);
   if (fd < 0) return -1;
   const std::string request =
-      spec.pattern_id == kMultiPattern
-          ? make_resume_session_multi(spec.session_id, spec.feed_deadline_ns,
-                                      spec.chunks, spec.pattern_ids, spec.flags,
-                                      spec.checkpoint)
-          : make_resume_session(spec.session_id, spec.pattern_id,
-                                spec.feed_deadline_ns, spec.chunks, spec.flags,
-                                spec.checkpoint);
+      make_resume_session(spec.session_id, spec.feed_deadline_ns, spec.chunks,
+                          spec.pattern_ids, spec.flags, spec.checkpoint);
   Frame reply;
   if (!send_all(fd, request) || !recv_frame(fd, reader, reply) ||
       reply.type != FrameType::kOpened) {

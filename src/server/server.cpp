@@ -17,13 +17,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <system_error>
 #include <utility>
 
 #include "engine/compile_cache.hpp"
-#include "engine/pattern_set.hpp"
 #include "util/fault_inject.hpp"
 
 namespace rispar::rispard {
@@ -34,11 +32,9 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-std::string opened_frame(std::uint32_t session_id, std::uint32_t pattern_id,
-                         std::uint64_t generation) {
+std::string opened_frame(std::uint32_t session_id, std::uint64_t generation) {
   std::string payload;
   put_u32(payload, session_id);
-  put_u32(payload, pattern_id);
   put_u64(payload, generation);
   std::string frame;
   put_frame(frame, FrameType::kOpened, payload);
@@ -108,14 +104,13 @@ std::string error_frame(std::uint32_t session_id, ErrorCode code,
   return frame;
 }
 
-/// CHECKPOINTED and DRAINING share a shape: {session_id, pattern_id, blob}.
+/// CHECKPOINTED and DRAINING share a shape: {session_id, blob}.
 std::string checkpoint_frame(FrameType type, std::uint32_t session_id,
-                             std::uint32_t pattern_id, std::string_view blob) {
+                             std::string_view blob) {
   std::string frame;
-  put_u32(frame, static_cast<std::uint32_t>(8 + blob.size()));
+  put_u32(frame, static_cast<std::uint32_t>(4 + blob.size()));
   put_u8(frame, static_cast<std::uint8_t>(type));
   put_u32(frame, session_id);
-  put_u32(frame, pattern_id);
   frame.append(blob);
   return frame;
 }
@@ -159,56 +154,36 @@ const char* error_code_name(ErrorCode code) {
 // ------------------------------------------------------------- state types
 
 struct Server::Session {
-  std::uint32_t id;
-  std::uint32_t pattern_id;  ///< kMultiPattern for the multi-pattern form
-  /// Pins the generation this session opened against: the Engines (and the
-  /// Device or Patterns the session points into) stay alive until the last
-  /// pinning session closes, however many RELOADs happen meanwhile.
-  std::shared_ptr<const PatternCatalog> catalog;
-  /// Exactly one of the two is engaged, for the session's whole life.
-  std::optional<StreamSession> stream;      ///< single-pattern form
-  std::optional<MultiStreamSession> multi;  ///< multi-pattern form
-  /// Multi form: session-local pattern index -> catalog id (manifest line
-  /// order), applied to every emitted Match before framing so MATCHES
-  /// always speak catalog ids, whichever subset the session subscribed.
-  std::vector<std::uint32_t> catalog_ids;
-  std::deque<std::string> pending;  ///< feed windows awaiting their turn
-  bool busy = false;                ///< a crew worker owns the session right now
-  bool closing = false;             ///< CLOSE received; ack after feeds drain
-  bool checkpoint_requested = false; ///< CHECKPOINT received mid-feed; answer when idle
+  /// One queued request: FEED (with its window), CHECKPOINT or CLOSE.
+  struct Request {
+    FrameType type;
+    std::string bytes;
+  };
 
-  Session(std::uint32_t id_, std::uint32_t pattern_id_,
-          std::shared_ptr<const PatternCatalog> catalog_, StreamSession stream_)
-      : id(id_),
-        pattern_id(pattern_id_),
-        catalog(std::move(catalog_)),
-        stream(std::move(stream_)) {}
+  std::uint32_t id;
+  /// Pins the generation this session opened against: its Patterns stay
+  /// alive until the last pinning session closes, however many RELOADs
+  /// happen meanwhile.
+  std::shared_ptr<const PatternCatalog> catalog;
+  MultiStreamSession stream;
+  /// Session-local pattern index -> catalog id (manifest line order),
+  /// applied to every emitted Match before framing so MATCHES always speak
+  /// catalog ids, whichever subset the session subscribed.
+  std::vector<std::uint32_t> catalog_ids;
+  /// FEED, CHECKPOINT and CLOSE in arrival order, run by run_requests. A
+  /// CLOSE is always last: requests after it reject as unknown-session.
+  std::deque<Request> requests;
+  bool busy = false;  ///< a crew worker owns the session right now
 
   Session(std::uint32_t id_, std::shared_ptr<const PatternCatalog> catalog_,
-          MultiStreamSession multi_, std::vector<std::uint32_t> catalog_ids_)
+          MultiStreamSession stream_, std::vector<std::uint32_t> catalog_ids_)
       : id(id_),
-        pattern_id(kMultiPattern),
         catalog(std::move(catalog_)),
-        multi(std::move(multi_)),
+        stream(std::move(stream_)),
         catalog_ids(std::move(catalog_ids_)) {}
 
-  void feed(std::string_view bytes, const MatchSink& sink) {
-    if (multi)
-      multi->feed(bytes, sink);
-    else
-      stream->feed(bytes, sink);
-  }
-  std::uint64_t matches() const { return multi ? multi->matches() : stream->matches(); }
-  bool accepted() const { return multi ? multi->accepted() : stream->accepted(); }
-  std::uint64_t bytes_consumed() const {
-    return multi ? multi->bytes_consumed() : stream->bytes_consumed();
-  }
-  /// Only called between feeds (never while busy) — the engine-level
-  /// contract of StreamSession/MultiStreamSession::checkpoint(). Server
-  /// sessions feed through a sink, so the undrained-matches reject cannot
-  /// trip; a poisoned session still throws ValidationError.
-  std::string checkpoint() const {
-    return multi ? multi->checkpoint() : stream->checkpoint();
+  bool closing() const {
+    return !requests.empty() && requests.back().type == FrameType::kClose;
   }
 };
 
@@ -250,7 +225,7 @@ Server::Server(std::vector<std::string> seed_regexes, ServerConfig config)
   compile_cache_ = std::make_shared<CompileCache>();
   EngineConfig seed_config;
   seed_config.compile_cache = compile_cache_;
-  catalog_.store(build_catalog(seed_regexes, 1, pool_, seed_config));
+  catalog_.store(build_catalog(seed_regexes, 1, seed_config));
   generation_.store(1);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -627,45 +602,26 @@ void Server::handle_open_session(Connection& conn, const Frame& frame,
   const char* const kind = resume ? "RESUME_SESSION" : "OPEN_SESSION";
   PayloadReader reader(frame.payload);
   const std::uint32_t session_id = reader.get_u32();
-  const std::uint32_t pattern_id = reader.get_u32();
   std::uint64_t deadline_ns = reader.get_u64();
   const std::uint32_t chunks = reader.get_u32();
-  std::uint8_t open_flags = 0;
-  std::vector<std::uint32_t> requested_ids;
-  bool whole_catalog = false;
-  if (pattern_id == kMultiPattern) {
-    // The multi-pattern extension: {flags, count, count x id}. The count is
-    // validated against the REMAINING payload before any allocation, so a
-    // hostile count cannot reserve gigabytes off a short frame. RESUME
-    // additionally trails the checkpoint blob, so the ids need only FIT.
-    open_flags = reader.get_u8();
-    const std::uint32_t count = reader.get_u32();
-    const std::size_t remaining = reader.size - reader.pos;
-    const std::uint64_t id_bytes = static_cast<std::uint64_t>(count) * 4;
-    if (!reader.ok || (resume ? id_bytes > remaining : id_bytes != remaining)) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      send_error(conn, kNoSession, ErrorCode::kProtocol,
-                 std::string("malformed ") + kind);
-      conn.draining_close = true;
-      return;
-    }
-    whole_catalog = count == 0;
-    requested_ids.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) requested_ids.push_back(reader.get_u32());
-  } else if (resume || reader.pos < reader.size) {
-    // Mandatory on RESUME (the blob's begin mode must be re-requested, never
-    // sniffed); an optional trailing extension on single-pattern OPEN —
-    // old clients simply omit it.
-    open_flags = reader.get_u8();
-  }
-  const std::string_view blob = resume ? reader.rest() : std::string_view{};
-  if (!reader.ok || (!resume && !reader.exhausted())) {
+  const std::uint8_t open_flags = reader.get_u8();
+  const std::uint32_t count = reader.get_u32();
+  // The count is validated against the REMAINING payload before any
+  // allocation, so a hostile count cannot reserve gigabytes off a short
+  // frame. RESUME trails the checkpoint blob, so its ids need only FIT.
+  const std::size_t remaining = reader.size - reader.pos;
+  const std::uint64_t id_bytes = static_cast<std::uint64_t>(count) * 4;
+  if (!reader.ok || (resume ? id_bytes > remaining : id_bytes != remaining)) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     send_error(conn, kNoSession, ErrorCode::kProtocol,
                std::string("malformed ") + kind);
     conn.draining_close = true;
     return;
   }
+  std::vector<std::uint32_t> catalog_ids;
+  catalog_ids.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) catalog_ids.push_back(reader.get_u32());
+  const std::string_view blob = reader.rest();
   if (draining_.load(std::memory_order_relaxed)) {
     send_error(conn, session_id, ErrorCode::kValidation,
                "server is draining — reconnect and resume elsewhere");
@@ -698,27 +654,20 @@ void Server::handle_open_session(Connection& conn, const Frame& frame,
            std::to_string(catalog->generation) + " has " +
            std::to_string(catalog->patterns.size()) + " patterns)";
   };
-  if (pattern_id == kMultiPattern) {
-    if (whole_catalog)
-      for (std::uint32_t id = 0; id < catalog->patterns.size(); ++id)
-        requested_ids.push_back(id);
-    for (const std::uint32_t id : requested_ids) {
-      if (id >= catalog->patterns.size()) {
-        send_error(conn, session_id, ErrorCode::kUnknownPattern,
-                   "multi-pattern id " + std::to_string(id) + describe_catalog());
-        return;
-      }
-    }
-    if (requested_ids.empty()) {
-      send_error(conn, session_id, ErrorCode::kValidation,
-                 std::string("multi-pattern ") + kind +
-                     " subscribed zero patterns (the catalog generation is "
-                     "empty)");
+  if (catalog_ids.empty())
+    for (std::uint32_t id = 0; id < catalog->patterns.size(); ++id)
+      catalog_ids.push_back(id);
+  for (const std::uint32_t id : catalog_ids) {
+    if (id >= catalog->patterns.size()) {
+      send_error(conn, session_id, ErrorCode::kUnknownPattern,
+                 "pattern id " + std::to_string(id) + describe_catalog());
       return;
     }
-  } else if (pattern_id >= catalog->patterns.size()) {
-    send_error(conn, session_id, ErrorCode::kUnknownPattern,
-               "pattern_id" + describe_catalog());
+  }
+  if (catalog_ids.empty()) {
+    send_error(conn, session_id, ErrorCode::kValidation,
+               std::string(kind) +
+                   " subscribed zero patterns (the catalog generation is empty)");
     return;
   }
   if (config_.max_feed_deadline_ns != 0 && deadline_ns > config_.max_feed_deadline_ns)
@@ -733,27 +682,18 @@ void Server::handle_open_session(Connection& conn, const Frame& frame,
   if ((open_flags & kOpenFlagExactBegins) != 0)
     options.begin_mode = BeginMode::kExact;
   try {
-    if (pattern_id == kMultiPattern) {
-      // Copies are cheap shared-ownership bumps; the catalog pin keeps the
-      // generation (and its compiled artifacts) alive for the session.
-      std::vector<Pattern> patterns;
-      patterns.reserve(requested_ids.size());
-      for (const std::uint32_t id : requested_ids)
-        patterns.push_back(catalog->patterns[id].engine->pattern());
-      MultiStreamSession multi =
-          resume ? MultiStreamSession(std::move(patterns), *pool_, options, blob)
-                 : MultiStreamSession(std::move(patterns), *pool_, options);
-      auto session = std::make_shared<Session>(session_id, catalog, std::move(multi),
-                                               std::move(requested_ids));
-      conn.sessions.emplace(session_id, std::move(session));
-    } else {
-      const Engine& engine = *catalog->patterns[pattern_id].engine;
-      StreamSession stream =
-          resume ? engine.resume_stream(blob, options) : engine.stream(options);
-      auto session = std::make_shared<Session>(session_id, pattern_id, catalog,
-                                               std::move(stream));
-      conn.sessions.emplace(session_id, std::move(session));
-    }
+    // Copies are cheap shared-ownership bumps; the catalog pin keeps the
+    // generation (and its compiled artifacts) alive for the session.
+    std::vector<Pattern> patterns;
+    patterns.reserve(catalog_ids.size());
+    for (const std::uint32_t id : catalog_ids)
+      patterns.push_back(catalog->patterns[id].pattern);
+    MultiStreamSession stream =
+        resume ? MultiStreamSession(std::move(patterns), *pool_, options, blob)
+               : MultiStreamSession(std::move(patterns), *pool_, options);
+    auto session = std::make_shared<Session>(session_id, catalog, std::move(stream),
+                                             std::move(catalog_ids));
+    conn.sessions.emplace(session_id, std::move(session));
   } catch (const ValidationError& e) {
     send_error(conn, session_id, ErrorCode::kValidation, e.what());
     return;
@@ -767,7 +707,7 @@ void Server::handle_open_session(Connection& conn, const Frame& frame,
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   sessions_open_.fetch_add(1, std::memory_order_relaxed);
   if (resume) sessions_resumed_.fetch_add(1, std::memory_order_relaxed);
-  enqueue_output(conn, opened_frame(session_id, pattern_id, catalog->generation));
+  enqueue_output(conn, opened_frame(session_id, catalog->generation));
 }
 
 void Server::handle_checkpoint(Connection& conn, const Frame& frame) {
@@ -780,19 +720,14 @@ void Server::handle_checkpoint(Connection& conn, const Frame& frame) {
     return;
   }
   auto it = conn.sessions.find(session_id);
-  if (it == conn.sessions.end() || it->second->closing) {
+  if (it == conn.sessions.end() || it->second->closing()) {
     send_error(conn, session_id, ErrorCode::kUnknownSession,
                "CHECKPOINT for a session that is not open");
     return;
   }
-  Session& session = *it->second;
-  if (session.busy || !session.pending.empty()) {
-    // Like CLOSE: answered from handle_completions once every feed received
-    // before this frame has been fed and acked — the blob then reflects them.
-    session.checkpoint_requested = true;
-    return;
-  }
-  emit_checkpoint_frame(conn, session, FrameType::kCheckpointed);
+  // Answered in turn: the blob reflects exactly the FEEDs received before.
+  it->second->requests.push_back({FrameType::kCheckpoint, {}});
+  run_requests(conn, it->second);
 }
 
 void Server::handle_feed(Connection& conn, const Frame& frame) {
@@ -806,33 +741,38 @@ void Server::handle_feed(Connection& conn, const Frame& frame) {
   }
   const std::string_view bytes = reader.rest();
   auto it = conn.sessions.find(session_id);
-  if (it == conn.sessions.end() || it->second->closing) {
+  if (it == conn.sessions.end() || it->second->closing()) {
     send_error(conn, session_id, ErrorCode::kUnknownSession,
                "FEED for a session that is not open");
     return;
   }
   feeds_.fetch_add(1, std::memory_order_relaxed);
   bytes_fed_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  const std::shared_ptr<Session>& session = it->second;
-  session->pending.emplace_back(bytes);
+  it->second->requests.push_back({FrameType::kFeed, std::string(bytes)});
   ++conn.queued_feeds;
-  if (!session->busy) dispatch_next_feed(conn, session);
+  run_requests(conn, it->second);
   update_read_interest(conn);
 }
 
-void Server::dispatch_next_feed(Connection& conn,
-                                const std::shared_ptr<Session>& session) {
-  FeedJob job;
-  job.connection_uid = conn.uid;
-  job.session = session;
-  job.bytes = std::move(session->pending.front());
-  session->pending.pop_front();
-  session->busy = true;
-  {
-    std::lock_guard<std::mutex> lock(feed_mutex_);
-    feed_queue_.push_back(std::move(job));
+void Server::run_requests(Connection& conn, std::shared_ptr<Session> session) {
+  while (!session->busy && !session->requests.empty() && !conn.broken) {
+    Session::Request request = std::move(session->requests.front());
+    session->requests.pop_front();
+    if (request.type == FrameType::kFeed) {
+      session->busy = true;
+      {
+        std::lock_guard<std::mutex> lock(feed_mutex_);
+        feed_queue_.push_back({conn.uid, session, std::move(request.bytes)});
+      }
+      feed_cv_.notify_one();
+    } else if (request.type == FrameType::kCheckpoint) {
+      // A drain's DRAINING frame supersedes queued checkpoint requests.
+      if (!draining_.load(std::memory_order_relaxed))
+        emit_checkpoint_frame(conn, *session, FrameType::kCheckpointed);
+    } else {
+      finish_close(conn, session->id);  // CLOSE is always the last request
+    }
   }
-  feed_cv_.notify_one();
 }
 
 void Server::handle_close(Connection& conn, const Frame& frame) {
@@ -845,25 +785,21 @@ void Server::handle_close(Connection& conn, const Frame& frame) {
     return;
   }
   auto it = conn.sessions.find(session_id);
-  if (it == conn.sessions.end() || it->second->closing) {
+  if (it == conn.sessions.end() || it->second->closing()) {
     send_error(conn, session_id, ErrorCode::kUnknownSession,
                "CLOSE for a session that is not open");
     return;
   }
-  Session& session = *it->second;
-  if (session.busy || !session.pending.empty()) {
-    session.closing = true;  // ack after the in-flight/queued feeds drain
-    return;
-  }
-  finish_close(conn, session_id);
+  // Acked after every earlier FEED and CHECKPOINT of the session.
+  it->second->requests.push_back({FrameType::kClose, {}});
+  run_requests(conn, it->second);
 }
 
 void Server::finish_close(Connection& conn, std::uint32_t session_id) {
   auto it = conn.sessions.find(session_id);
   if (it == conn.sessions.end()) return;
-  Session& session = *it->second;
-  const std::string frame =
-      closed_frame(session_id, session.matches(), session.accepted());
+  const MultiStreamSession& stream = it->second->stream;
+  const std::string frame = closed_frame(session_id, stream.matches(), stream.accepted());
   conn.sessions.erase(it);  // drops the catalog pin
   sessions_open_.fetch_sub(1, std::memory_order_relaxed);
   enqueue_output(conn, frame);
@@ -959,7 +895,7 @@ void Server::apply_reload(Connection* conn, std::string_view manifest_text) {
     // makes an unchanged manifest a pure-hit rebuild: no recompilation.
     EngineConfig reload_config;
     reload_config.compile_cache = compile_cache_;
-    next = build_catalog(regexes, generation_.load() + 1, pool_, reload_config);
+    next = build_catalog(regexes, generation_.load() + 1, reload_config);
   } catch (const std::exception& e) {
     if (conn != nullptr)
       send_error(*conn, kNoSession, ErrorCode::kBadManifest, e.what());
@@ -996,15 +932,16 @@ void Server::emit_checkpoint_frame(Connection& conn, Session& session,
                                    FrameType type) {
   try {
     if (type == FrameType::kDraining) fault::maybe_throw("server.drain");
-    const std::string blob = session.checkpoint();
-    if (8 + blob.size() > kMaxFramePayload) {
+    // Server sessions feed through a sink, so the undrained-matches reject
+    // cannot trip; a poisoned session still throws ValidationError.
+    const std::string blob = session.stream.checkpoint();
+    if (4 + blob.size() > kMaxFramePayload) {
       send_error(conn, session.id, ErrorCode::kResourceExhausted,
                  "checkpoint exceeds the 16 MiB frame cap — configure a "
                  "max_history_bytes bound");
       return;
     }
-    enqueue_output(conn,
-                   checkpoint_frame(type, session.id, session.pattern_id, blob));
+    enqueue_output(conn, checkpoint_frame(type, session.id, blob));
   } catch (const ValidationError& e) {
     // Poisoned sessions (a cancelled or failed feed) have no consistent
     // state to serialize; the client re-opens from its own last blob.
@@ -1071,7 +1008,7 @@ void Server::start_drain() {
     epoll_update(conn);
     std::vector<std::uint32_t> idle;
     for (const auto& [id, session] : conn.sessions)
-      if (!session->busy && session->pending.empty()) idle.push_back(id);
+      if (!session->busy) idle.push_back(id);  // idle sessions queue nothing
     for (const std::uint32_t id : idle) drain_session(conn, id);
     finish_connection_drain(conn);  // busy sessions drain from completions
   }
@@ -1080,9 +1017,10 @@ void Server::start_drain() {
 
 void Server::drain_deadline_fired() {
   // Grace period over: drop queued windows (none were acked — the drain
-  // guarantee covers acked feeds only) and trip every feed still running.
-  // Tripped sessions poison; their completion sends a kCancelled ERROR
-  // instead of a checkpoint.
+  // guarantee covers acked feeds only) and checkpoint requests (DRAINING
+  // supersedes them), keep a queued CLOSE, and trip every feed still
+  // running. Tripped sessions poison; their completion sends a kCancelled
+  // ERROR instead of a checkpoint.
   drain_cancel_.request_cancel();
   std::vector<int> fds;
   fds.reserve(connections_.size());
@@ -1093,8 +1031,14 @@ void Server::drain_deadline_fired() {
     Connection& conn = *it->second;
     std::vector<std::uint32_t> idle;
     for (const auto& [id, session] : conn.sessions) {
-      conn.queued_feeds -= session->pending.size();
-      session->pending.clear();
+      const auto is_feed = [](const Session::Request& r) {
+        return r.type == FrameType::kFeed;
+      };
+      conn.queued_feeds -= std::count_if(session->requests.begin(),
+                                         session->requests.end(), is_feed);
+      std::erase_if(session->requests, [](const Session::Request& r) {
+        return r.type != FrameType::kClose;
+      });
       if (!session->busy) idle.push_back(id);
     }
     for (const std::uint32_t id : idle) drain_session(conn, id);
@@ -1155,25 +1099,16 @@ void Server::handle_completions() {
       close_connection(conn.fd);
       continue;
     }
-    const bool draining = draining_.load(std::memory_order_relaxed);
-    if (!session.pending.empty())
-      dispatch_next_feed(conn, done.session);
-    else if (session.closing)
-      finish_close(conn, session.id);
-    else if (session.checkpoint_requested && !draining) {
-      session.checkpoint_requested = false;
-      emit_checkpoint_frame(conn, session, FrameType::kCheckpointed);
-      if (conn.broken) {
-        close_connection(conn.fd);
-        continue;
-      }
+    run_requests(conn, done.session);
+    if (conn.broken) {
+      close_connection(conn.fd);
+      continue;
     }
-    if (draining) {
-      // The feed this session was waiting on is acked (or errored) now —
-      // checkpoint and retire it, and finish the connection when it was the
-      // last one.
-      if (!session.busy && session.pending.empty())
-        drain_session(conn, session.id);
+    if (draining_.load(std::memory_order_relaxed)) {
+      // The feeds this session was waiting on are acked (or errored) now —
+      // checkpoint and retire it (a no-op once a queued CLOSE retired it),
+      // and finish the connection when it was the last one.
+      if (!session.busy) drain_session(conn, session.id);
       if (finish_connection_drain(conn)) continue;  // conn closed — invalid
     }
     update_read_interest(conn);
@@ -1209,23 +1144,19 @@ Server::FeedDone Server::execute_feed(FeedJob job) {
   Session& session = *job.session;
   std::vector<Match> matches;
   try {
-    // The governed feed: StreamSession re-arms QueryOptions::deadline per
+    // The governed feed: the session re-arms QueryOptions::deadline per
     // feed, and the chunk fan-out inside goes through the shared pool's
-    // admission gate — every PR 6 failure mode funnels into the catch
-    // ladder below as a typed error frame.
-    // Sessions emit session-local pattern indices (always 0 for a single
-    // pattern); tag with catalog ids here, so MATCHES frames always speak
+    // admission gate — every failure mode funnels into the catch ladder
+    // below as a typed error frame. Sessions emit session-local pattern
+    // indices; tag with catalog ids here, so MATCHES frames always speak
     // manifest line order.
-    const bool remap = session.multi.has_value();
-    const MatchSink sink = [&matches, &session, remap](const Match& m) {
-      Match tagged = m;
-      tagged.pattern_id = remap ? session.catalog_ids[m.pattern_id] : session.pattern_id;
-      matches.push_back(tagged);
-    };
-    session.feed(job.bytes, sink);
+    session.stream.feed(job.bytes, [&matches, &session](const Match& m) {
+      matches.push_back(
+          {session.catalog_ids[m.pattern_id], m.begin, m.end});
+    });
     append_matches_frames(done.frames, session.id, matches);
-    append_fed_frame(done.frames, session.id, session.bytes_consumed(),
-                     session.matches());
+    append_fed_frame(done.frames, session.id, session.stream.bytes_consumed(),
+                     session.stream.matches());
     done.new_matches = matches.size();
     done.fed_bytes = job.bytes.size();
   } catch (const DeadlineExceeded& e) {

@@ -1,11 +1,12 @@
-// rispard — the epoll-based streaming query server over StreamSession.
+// rispard — the epoll-based streaming query server over MultiStreamSession.
 //
-// This is the serving path the ROADMAP's north star asks for: thousands of
-// TCP connections, each multiplexing client-named streaming-find sessions
-// over the length-prefixed protocol of server/protocol.hpp, on top of the
-// transport-agnostic StreamSession/MatchSink API (PR 4), the work-stealing
-// pool (PR 5) and the governance plumbing (PR 6 — per-feed deadlines, typed
-// QueryErrors, PoolAdmission, PoolStats).
+// This is the serving path: thousands of TCP connections, each
+// multiplexing client-named streaming-find sessions over the
+// length-prefixed protocol of server/protocol.hpp, on top of the
+// transport-agnostic MultiStreamSession/MatchSink API, the work-stealing
+// pool and the governance plumbing (per-feed deadlines, typed QueryErrors,
+// PoolAdmission, PoolStats). Every session — one catalog pattern or many —
+// is one MultiStreamSession over the catalog ids it subscribed.
 //
 // ## Threading model
 //
@@ -13,14 +14,16 @@
 // level-triggered epoll loop over non-blocking sockets. It never runs a
 // kernel and never blocks on the pool — FEED payloads are handed to a small
 // crew of feed workers (`ServerConfig::feed_workers`), each of which drives
-// the session's governed StreamSession::feed; the chunk fan-out inside the
-// feed goes through the pool's EXTERNAL admission path (the PR 6
+// the session's governed MultiStreamSession::feed; the chunk fan-out inside
+// the feed goes through the pool's EXTERNAL admission path (the
 // PoolAdmission gate — this is where overload surfaces), and the submitting
 // feed worker participates in the pool until its feed completes. Completed
 // feeds post their response frames back to the event loop through an
-// eventfd-signalled completion queue. Feeds of ONE session are strictly
-// serialized (StreamSession is single-threaded by contract); feeds of
-// different sessions run concurrently up to the crew size.
+// eventfd-signalled completion queue. Requests of ONE session — FEED,
+// CHECKPOINT and CLOSE — run strictly in arrival order from one queue
+// (a session is single-threaded by contract, and a CHECKPOINT reflects
+// exactly the FEEDs before it); feeds of different sessions run
+// concurrently up to the crew size.
 //
 // ## Backpressure
 //
@@ -187,8 +190,8 @@ class Server {
   struct Connection;
 
   /// One governed feed handed to the crew. The shared_ptr keeps the session
-  /// (and, through its catalog pin, the Engines its StreamSession points
-  /// into) alive even if the connection dies while the feed runs.
+  /// (and, through its catalog pin, the Patterns it scans) alive even if
+  /// the connection dies while the feed runs.
   struct FeedJob {
     std::uint64_t connection_uid = 0;
     std::shared_ptr<Session> session;
@@ -221,7 +224,10 @@ class Server {
   void handle_stats(Connection& conn);
   void handle_reload(Connection& conn, const Frame& frame);
   void handle_completions();
-  void dispatch_next_feed(Connection& conn, const std::shared_ptr<Session>& session);
+  /// Runs the session's queued requests in arrival order until a FEED goes
+  /// to the crew (the session is then busy until its completion), a CLOSE
+  /// retires the session, or the queue empties.
+  void run_requests(Connection& conn, std::shared_ptr<Session> session);
   void finish_close(Connection& conn, std::uint32_t session_id);
   void send_error(Connection& conn, std::uint32_t session_id, ErrorCode code,
                   std::string_view message);

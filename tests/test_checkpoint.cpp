@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bundle/format.hpp"
 #include "engine/engine.hpp"
 #include "engine/pattern_set.hpp"
 #include "util/prng.hpp"
@@ -169,6 +170,35 @@ TEST(Checkpoint, SingleAndMultiBlobsDoNotCross) {
   EXPECT_THROW((void)set.resume_stream(single.checkpoint(), {}), ValidationError);
   EXPECT_THROW((void)engine.resume_stream(multi.checkpoint(), options),
                ValidationError);
+}
+
+TEST(Checkpoint, VersionOneBlobRejects) {
+  // A well-formed blob in the retired version 1 layout — a fresh
+  // single-pattern session's: kind byte, pattern fingerprint, decision
+  // carry, one find carry, valid checksum — must reject typed.
+  const Pattern pattern = Pattern::compile("ab");
+  const auto put = [](std::string& out, std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(value >> (8 * i)));
+  };
+  std::string blob;
+  put(blob, checkpoint::kMagic, 4);
+  put(blob, 1, 4);  // version 1
+  put(blob, 1, 1);  // kind: single stream
+  put(blob, static_cast<std::uint64_t>(Variant::kRid), 1);
+  put(blob, 1, 1);  // positions
+  put(blob, static_cast<std::uint64_t>(BeginMode::kSeparator), 1);
+  put(blob, checkpoint::pattern_fingerprint(pattern), 8);
+  put(blob, 1, 1);   // at_start
+  put(blob, 0, 8);   // transitions
+  put(blob, 0, 8);   // windows
+  put(blob, 0, 4);   // no decision states
+  encode_find_carry(FindCarry{}, blob);
+  put(blob, bundle::checksum64(blob.data(), blob.size()), 8);
+
+  const Engine engine(pattern, {.threads = 2});
+  EXPECT_THROW((void)engine.resume_stream(blob, {.positions = true}), ValidationError);
+  const PatternSet set({pattern}, {.threads = 2});
+  EXPECT_THROW((void)set.resume_stream(blob, {}), ValidationError);
 }
 
 TEST(Checkpoint, FleetSizeAndOrderMismatchReject) {

@@ -353,7 +353,6 @@ TEST_F(FaultInject, ServerDrainSiteSurfacesATypedErrorAndTheDrainCompletes) {
       ASSERT_EQ(frame.type, rd::FrameType::kDraining);
       rd::PayloadReader payload(frame.payload);
       EXPECT_EQ(payload.get_u32(), 7u);
-      payload.get_u32();  // pattern id
       EXPECT_FALSE(payload.rest().empty());  // a real, resumable blob
     }
     fault::disable();

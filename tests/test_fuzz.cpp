@@ -415,7 +415,9 @@ TEST(MultiPatternStreamFuzz, MergedStreamEqualsIndependentSessionsAndOneShot) {
   for (std::size_t iter = 0; iter < iters; ++iter) {
     RandomRegexConfig config;
     config.alphabet = prng.pick_index(2) == 0 ? "ab" : "abc";
-    const std::size_t n = 2 + prng.pick_index(3);
+    // n == 1 takes the session's direct one-pattern path (no fan-out, no
+    // merge); n >= 2 the pooled fan-out and merge.
+    const std::size_t n = 1 + prng.pick_index(4);
     std::vector<std::string> regexes;
     std::vector<Pattern> patterns;
     RePtr sample;  // members of one pattern seed the text with real matches

@@ -49,10 +49,12 @@ TEST(RispardProtocol, FramesRoundTripThroughSplitDeliveries) {
       types.push_back(frame.type);
       if (frame.type == FrameType::kOpenSession) {
         PayloadReader payload(frame.payload);
-        EXPECT_EQ(payload.get_u32(), 7u);
-        EXPECT_EQ(payload.get_u32(), 3u);
-        EXPECT_EQ(payload.get_u64(), 1234567u);
-        EXPECT_EQ(payload.get_u32(), 4u);
+        EXPECT_EQ(payload.get_u32(), 7u);        // session id
+        EXPECT_EQ(payload.get_u64(), 1234567u);  // feed deadline
+        EXPECT_EQ(payload.get_u32(), 4u);        // chunks
+        EXPECT_EQ(payload.get_u8(), 0u);         // flags
+        EXPECT_EQ(payload.get_u32(), 1u);        // one catalog id ...
+        EXPECT_EQ(payload.get_u32(), 3u);        // ... pattern 3
         EXPECT_TRUE(payload.exhausted());
       } else if (frame.type == FrameType::kFeed) {
         PayloadReader payload(frame.payload);
@@ -165,7 +167,6 @@ struct Client {
     if (!recv(frame) || frame.type != FrameType::kOpened) return 0;
     PayloadReader payload(frame.payload);
     EXPECT_EQ(payload.get_u32(), sid);
-    EXPECT_EQ(payload.get_u32(), pid);
     return payload.get_u64();
   }
 
@@ -406,6 +407,100 @@ TEST(RispardErrors, MalformedFrameDrawsProtocolErrorThenClose) {
   // After a protocol error the server closes: next read is EOF.
   EXPECT_FALSE(client.recv(frame));
   EXPECT_GE(harness.server->counters().protocol_errors, 1u);
+}
+
+TEST(RispardErrors, HostileOpenAndResumePayloadsGetTypedErrors) {
+  // OPEN_SESSION/RESUME_SESSION payloads: {session_id, u64 deadline,
+  // u32 chunks, u8 flags, u32 count, count x u32 id} (+ blob on RESUME).
+  const auto payload = [](std::uint8_t flags, std::uint32_t count,
+                          std::vector<std::uint32_t> ids) {
+    std::string out;
+    put_u32(out, 1);   // session id
+    put_u64(out, 0);   // deadline
+    put_u32(out, 2);   // chunks
+    put_u8(out, flags);
+    put_u32(out, count);
+    for (const std::uint32_t id : ids) put_u32(out, id);
+    return out;
+  };
+  const auto frame = [](FrameType type, std::string body) {
+    std::string out;
+    put_frame(out, type, body);
+    return out;
+  };
+  // The pre-unification single-pattern layout: {session_id, pattern_id,
+  // deadline, chunks [, flags]}.
+  const auto legacy_open = [](std::uint32_t chunks, bool with_flags) {
+    std::string out;
+    put_u32(out, 1);  // session id
+    put_u32(out, 0);  // pattern id
+    put_u64(out, 0);  // deadline
+    put_u32(out, chunks);
+    if (with_flags) put_u8(out, kOpenFlagExactBegins);
+    return out;
+  };
+  std::string no_flags;
+  put_u32(no_flags, 1);
+  put_u64(no_flags, 0);
+  put_u32(no_flags, 2);
+
+  struct Case {
+    const char* name;
+    std::vector<std::string> catalog;
+    std::string frame;
+    ErrorCode code;
+  };
+  const std::vector<Case> cases = {
+      {"flags byte missing", {"ab"}, frame(FrameType::kOpenSession, no_flags),
+       ErrorCode::kProtocol},
+      {"count runs past the payload", {"ab"},
+       frame(FrameType::kOpenSession, payload(0, 3, {0})), ErrorCode::kProtocol},
+      {"count below the ids present", {"ab"},
+       frame(FrameType::kOpenSession, payload(0, 1, {0, 0})), ErrorCode::kProtocol},
+      {"resume count runs past the payload", {"ab"},
+       frame(FrameType::kResumeSession, payload(0, 1000, {0})),
+       ErrorCode::kProtocol},
+      {"legacy single-pattern layout", {"ab"},
+       frame(FrameType::kOpenSession, legacy_open(2, false)), ErrorCode::kProtocol},
+      {"legacy layout with flags", {"ab"},
+       frame(FrameType::kOpenSession, legacy_open(2, true)), ErrorCode::kProtocol},
+      {"unknown flag bit", {"ab"},
+       frame(FrameType::kOpenSession, payload(0x80, 1, {0})), ErrorCode::kValidation},
+      {"id outside the catalog", {"ab", "ba"},
+       frame(FrameType::kOpenSession, payload(0, 2, {1, 2})),
+       ErrorCode::kUnknownPattern},
+      {"resume id outside the catalog", {"ab"},
+       frame(FrameType::kResumeSession, payload(0, 1, {7}) + "blob"),
+       ErrorCode::kUnknownPattern},
+      {"whole catalog of an empty catalog", {},
+       frame(FrameType::kOpenSession, payload(0, 0, {})), ErrorCode::kValidation},
+      {"resume blob is garbage", {"ab"},
+       frame(FrameType::kResumeSession, payload(0, 1, {0}) + "not a blob"),
+       ErrorCode::kValidation},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServerHarness harness(c.catalog);
+    Client client(harness.port());
+    ASSERT_GE(client.fd, 0);
+    ASSERT_TRUE(client.send(c.frame));
+    Frame reply;
+    ASSERT_TRUE(client.recv(reply));
+    ASSERT_EQ(reply.type, FrameType::kError);
+    PayloadReader error(reply.payload);
+    const std::uint32_t sid = error.get_u32();
+    EXPECT_EQ(static_cast<ErrorCode>(error.get_u8()), c.code);
+    if (c.code == ErrorCode::kProtocol) {
+      EXPECT_EQ(sid, kNoSession);
+      EXPECT_FALSE(client.recv(reply));  // malformed frames close the connection
+    } else {
+      EXPECT_EQ(sid, 1u);
+      // A typed reject leaves the connection serving.
+      ASSERT_TRUE(client.send(make_stats()));
+      ASSERT_TRUE(client.recv(reply));
+      EXPECT_EQ(reply.type, FrameType::kStatsJson);
+    }
+  }
 }
 
 TEST(RispardErrors, DeadlineExceededPoisonsThenReopenRecovers) {

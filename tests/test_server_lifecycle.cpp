@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -43,11 +44,10 @@ struct ServerHarness {
   std::uint16_t port() const { return server->port(); }
 };
 
-/// One DRAINING frame's decoded payload ({session, pattern, blob}; the
-/// terminal form decodes as session == kNoSession with an empty blob).
+/// One DRAINING frame's decoded payload ({session, blob}; the terminal
+/// form decodes as session == kNoSession with an empty blob).
 struct DrainFrame {
   std::uint32_t session_id = kNoSession;
-  std::uint32_t pattern_id = 0;
   std::string blob;
 };
 
@@ -88,14 +88,13 @@ struct Client {
         resume.empty()
             ? make_open_session(sid, pid, /*feed_deadline_ns=*/0, /*chunks=*/2,
                                 flags)
-            : make_resume_session(sid, pid, /*feed_deadline_ns=*/0,
-                                  /*chunks=*/2, flags, resume);
+            : make_resume_session(sid, /*feed_deadline_ns=*/0, /*chunks=*/2, {pid},
+                                  flags, resume);
     if (!send(request)) return false;
     Frame frame;
     if (!recv(frame) || frame.type != FrameType::kOpened) return false;
     PayloadReader payload(frame.payload);
     EXPECT_EQ(payload.get_u32(), sid);
-    EXPECT_EQ(payload.get_u32(), pid);
     return payload.get_u64() > 0;
   }
 
@@ -104,13 +103,12 @@ struct Client {
     const std::string request =
         resume.empty()
             ? make_open_session_multi(sid, 0, /*chunks=*/2, {}, flags)
-            : make_resume_session_multi(sid, 0, /*chunks=*/2, {}, flags, resume);
+            : make_resume_session(sid, 0, /*chunks=*/2, {}, flags, resume);
     if (!send(request)) return false;
     Frame frame;
     if (!recv(frame) || frame.type != FrameType::kOpened) return false;
     PayloadReader payload(frame.payload);
     EXPECT_EQ(payload.get_u32(), sid);
-    EXPECT_EQ(payload.get_u32(), kMultiPattern);
     return payload.get_u64() > 0;
   }
 
@@ -139,16 +137,15 @@ struct Client {
     }
   }
 
-  /// CHECKPOINT and parse the CHECKPOINTED {session, pattern, blob} reply;
-  /// returns the opaque blob (empty only on failure — real blobs always
-  /// carry at least the envelope).
+  /// CHECKPOINT and parse the CHECKPOINTED {session, blob} reply; returns
+  /// the opaque blob (empty only on failure — real blobs always carry at
+  /// least the envelope).
   std::string checkpoint(std::uint32_t sid) {
     if (!send(make_checkpoint(sid))) return {};
     Frame frame;
     if (!recv(frame) || frame.type != FrameType::kCheckpointed) return {};
     PayloadReader payload(frame.payload);
     EXPECT_EQ(payload.get_u32(), sid);
-    payload.get_u32();  // pattern id
     return std::string(payload.rest());
   }
 
@@ -183,10 +180,7 @@ struct Client {
       PayloadReader payload(frame.payload);
       DrainFrame drained;
       drained.session_id = payload.get_u32();
-      if (drained.session_id != kNoSession) {
-        drained.pattern_id = payload.get_u32();
-        drained.blob = std::string(payload.rest());
-      }
+      if (drained.session_id != kNoSession) drained.blob = std::string(payload.rest());
       out.push_back(drained);
     }
     return true;  // EOF — the server closed after the terminal frame
@@ -287,19 +281,17 @@ TEST(RispardCheckpoint, UnknownSessionAndCorruptBlobAreTypedErrors) {
   std::string blob = client.checkpoint(1);
   ASSERT_FALSE(blob.empty());
   blob[blob.size() / 2] ^= 0x41;
-  ASSERT_TRUE(client.send(
-      make_resume_session(2, 0, 0, 2, /*flags=*/0, blob)));
+  ASSERT_TRUE(client.send(make_resume_session(2, 0, 2, {0}, /*flags=*/0, blob)));
   EXPECT_EQ(client.expect_error(2), ErrorCode::kValidation);
 
   // The original session is untouched by the failed resume.
   EXPECT_EQ(client.close_session(1), 1u);
 }
 
-TEST(RispardCheckpoint, SingleOpenOptionalFlagsByteRequestsExactBegins) {
-  // The trailing flags byte on single-pattern OPEN_SESSION is optional (old
-  // builders omit it); when present, kOpenFlagExactBegins must switch the
-  // session to exact begins — observable on a pattern where the two modes
-  // report different begin offsets.
+TEST(RispardCheckpoint, SingleOpenFlagsByteRequestsExactBegins) {
+  // kOpenFlagExactBegins in a one-pattern OPEN_SESSION's flags byte must
+  // switch the session to exact begins — observable on a pattern where the
+  // two modes report different begin offsets.
   const std::string text = "xba xa bba";
   const Engine engine(Pattern::compile("a|ba"), {.threads = 2});
   const std::vector<Match> separator =
@@ -317,6 +309,71 @@ TEST(RispardCheckpoint, SingleOpenOptionalFlagsByteRequestsExactBegins) {
     ASSERT_TRUE(client.feed(1, text, collected));
     EXPECT_EQ(collected, want_exact ? exact : separator);
     client.close_session(1);
+  }
+}
+
+TEST(RispardCheckpoint, PipelinedRequestsAnswerInOrder) {
+  // FEED a, CHECKPOINT, FEED b, CHECKPOINT, CLOSE in ONE write: the first
+  // FEED is still running when the rest arrive, so the server must queue
+  // them and answer each in turn — every checkpoint reflects exactly the
+  // feeds before it, and the CLOSE does not swallow the last reply.
+  const std::string a = "xxabab abba ";
+  const std::string b = "ab xab abab";
+  const std::string text = a + b;
+  const Engine oracle_engine(Pattern::compile("(ab)+"), {.threads = 2});
+  const std::vector<Match> oracle = tag_pattern(oracle_engine.find_all(text), 0);
+  ASSERT_FALSE(oracle.empty());
+
+  ServerHarness harness({"(ab)+"});
+  Client client(harness.port());
+  ASSERT_GE(client.fd, 0);
+  ASSERT_TRUE(client.open(1, 0));
+  ASSERT_TRUE(client.send(make_feed(1, a) + make_checkpoint(1) + make_feed(1, b) +
+                          make_checkpoint(1) + make_close(1)));
+
+  std::vector<FrameType> replies;
+  std::vector<std::string> blobs;
+  std::uint64_t closed_total = 0;
+  Frame frame;
+  while (replies.empty() || replies.back() != FrameType::kClosed) {
+    ASSERT_TRUE(client.recv(frame));
+    if (frame.type == FrameType::kMatches) continue;
+    replies.push_back(frame.type);
+    PayloadReader payload(frame.payload);
+    EXPECT_EQ(payload.get_u32(), 1u);
+    if (frame.type == FrameType::kCheckpointed) blobs.emplace_back(payload.rest());
+    if (frame.type == FrameType::kClosed) closed_total = payload.get_u64();
+  }
+  EXPECT_EQ(replies,
+            (std::vector<FrameType>{FrameType::kFed, FrameType::kCheckpointed,
+                                    FrameType::kFed, FrameType::kCheckpointed,
+                                    FrameType::kClosed}));
+  EXPECT_EQ(closed_total, oracle.size());
+  ASSERT_EQ(blobs.size(), 2u);
+
+  // Each blob resumes at the feeds received before its request: an empty
+  // FEED acks the resumed byte count, and the rest of the stream finishes
+  // byte-exact.
+  const std::size_t cuts[] = {a.size(), text.size()};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("checkpoint " + std::to_string(i));
+    Client resumer(harness.port());
+    ASSERT_GE(resumer.fd, 0);
+    ASSERT_TRUE(resumer.open(2, 0, 0, blobs[i]));
+    ASSERT_TRUE(resumer.send(make_feed(2, "")));
+    ASSERT_TRUE(resumer.recv(frame));
+    ASSERT_EQ(frame.type, FrameType::kFed);
+    PayloadReader fed(frame.payload);
+    EXPECT_EQ(fed.get_u32(), 2u);
+    EXPECT_EQ(fed.get_u64(), cuts[i]);
+    std::vector<Match> tail;
+    ASSERT_TRUE(resumer.feed(2, std::string_view(text).substr(cuts[i]), tail));
+    const std::vector<Match> want(
+        std::find_if(oracle.begin(), oracle.end(),
+                     [&](const Match& m) { return m.end > cuts[i]; }),
+        oracle.end());
+    EXPECT_EQ(tail, want);
+    EXPECT_EQ(resumer.close_session(2), oracle.size());
   }
 }
 
@@ -353,7 +410,6 @@ TEST(RispardDrain, StopDrainDeliversResumableCheckpointsThenCloses) {
     ASSERT_TRUE(client.absorb_drain(drained));
     ASSERT_EQ(drained.size(), 2u);  // the session's checkpoint + the terminal
     EXPECT_EQ(drained[0].session_id, 1u);
-    EXPECT_EQ(drained[0].pattern_id, 0u);
     ASSERT_FALSE(drained[0].blob.empty());
     EXPECT_EQ(drained[1].session_id, kNoSession);
     blob = drained[0].blob;
@@ -406,7 +462,6 @@ TEST(RispardDrain, SigtermStyleStopDrainsMultipleConnections) {
   EXPECT_FALSE(single_frames[0].blob.empty());
   ASSERT_EQ(multi_frames.size(), 2u);
   EXPECT_EQ(multi_frames[0].session_id, 2u);
-  EXPECT_EQ(multi_frames[0].pattern_id, kMultiPattern);
   EXPECT_FALSE(multi_frames[0].blob.empty());
   ASSERT_EQ(idle_frames.size(), 1u);  // terminal only
   EXPECT_EQ(idle_frames[0].session_id, kNoSession);

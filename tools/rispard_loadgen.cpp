@@ -289,10 +289,7 @@ void chaos_absorb(ChaosClient& client, const Frame& frame) {
   } else if (frame.type == FrameType::kDraining) {
     PayloadReader payload(frame.payload);
     const std::uint32_t session = payload.get_u32();
-    if (session != kNoSession) {
-      payload.get_u32();  // pattern id
-      client.blob = std::string(payload.rest());
-    }
+    if (session != kNoSession) client.blob = std::string(payload.rest());
     client.drained = true;
   }
 }
@@ -318,7 +315,7 @@ std::string chaos_open_frame(const ChaosScenario& sc) {
 ResumeSpec chaos_resume_spec(const ChaosScenario& sc, const std::string& blob) {
   ResumeSpec spec;
   spec.session_id = 1;
-  spec.pattern_id = sc.multi ? kMultiPattern : sc.pattern_id;
+  if (!sc.multi) spec.pattern_ids = {sc.pattern_id};
   spec.chunks = 2;
   spec.flags = sc.flags;
   spec.checkpoint = blob;
@@ -375,7 +372,7 @@ bool chaos_run(std::uint16_t port, const ChaosScenario& sc,
     chaos_absorb(client, frame);
     if (!send_all(client.fd, make_checkpoint(1))) return false;
     if (!chaos_await(client, FrameType::kCheckpointed, frame)) return false;
-    client.blob = frame.payload.substr(8);
+    client.blob = frame.payload.substr(4);  // {session, blob}
     ++i;
     if (dice == 1 && i < windows.size() &&
         !chaos_kill_and_resume(client, port, sc))
