@@ -1,7 +1,8 @@
 // Microbenchmarks of the reach-phase kernels: speculative deterministic
 // runs (the chunk walker vs the reference oracle, independent vs
 // convergent) and the NFA frontier kernel, on one chunk of each benchmark
-// group's representative.
+// group's representative, plus whole byte-text recognition on the pool
+// (BM_RecognizeBytes).
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_chunk_kernels.json in the working
@@ -9,14 +10,17 @@
 // trajectory (see docs/perf.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchmark_json_main.hpp"
 #include "common.hpp"
 #include "automata/glushkov.hpp"
 #include "parallel/ca_run.hpp"
+#include "engine/engine.hpp"
 #include "engine/pattern.hpp"
 #include "workloads/suite.hpp"
 
@@ -228,6 +232,50 @@ void BM_SingleDfaRun(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
 }
 BENCHMARK(BM_SingleDfaRun)->Unit(benchmark::kMillisecond);
+
+// The byte path end to end, gated beside the symbol-span rows above (the
+// "walker" label puts it in tools/bench_compare.py's guarded series):
+// Engine::recognize(string_view) at chunks = hardware_concurrency() over
+// 1 MiB of the workload's text — every chunk walk reads its raw bytes
+// through the pattern's map; pool fan-out and join included. Pooled, so
+// wall-clock throughput plus process_cpu_ms. Args: (workload: 0=bible
+// 1=traffic, variant: 0=RID 1=DFA).
+struct RecognizeFixture {
+  Engine engine;
+  std::string text;
+
+  explicit RecognizeFixture(const WorkloadSpec& spec)
+      : engine(Pattern::from_nfa(glushkov_nfa(spec.regex()))), text([&] {
+          Prng prng(stable_hash(spec.name) ^ 0xb17e5);
+          return spec.text(1u << 20, prng);
+        }()) {}
+};
+
+void BM_RecognizeBytes(benchmark::State& state) {
+  static const RecognizeFixture bible(bible_workload());
+  static const RecognizeFixture traffic(traffic_workload());
+  const RecognizeFixture& f = state.range(0) == 0 ? bible : traffic;
+  const QueryOptions options{
+      .variant = state.range(1) == 0 ? Variant::kRid : Variant::kDfa,
+      .chunks = std::max(1u, std::thread::hardware_concurrency())};
+  const bench::ProcessCpuCounter cpu;
+  for (auto _ : state) {
+    const QueryResult result = f.engine.recognize(f.text, options);
+    benchmark::DoNotOptimize(result.accepted);
+  }
+  cpu.report(state);
+  state.SetLabel(std::string(state.range(0) == 0 ? "bible/" : "traffic/") +
+                 variant_name(options.variant) + "/c=" + std::to_string(options.chunks) +
+                 "/walker");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.text.size()));
+}
+BENCHMARK(BM_RecognizeBytes)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

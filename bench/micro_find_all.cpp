@@ -72,6 +72,7 @@ void BM_FindMatches(benchmark::State& state) {
 }
 BENCHMARK(BM_FindMatches)
     ->Args({1, 0})
+    ->Args({1, 1})
     ->Args({8, 0})
     ->Args({8, 1})
     ->Args({32, 1})

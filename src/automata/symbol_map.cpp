@@ -97,6 +97,21 @@ std::vector<std::int32_t> SymbolMap::translate(std::string_view text) const {
   return symbols;
 }
 
+std::size_t SymbolMap::translate_block(std::string_view bytes, std::int32_t limit,
+                                       std::int32_t* out) const {
+  // The unsigned max-reduction of first_invalid_symbol, taken while the
+  // symbols are written; only a block holding an out-of-range symbol pays
+  // the second scan that locates it.
+  std::uint32_t max_seen = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const std::int32_t symbol = byte_to_symbol_[static_cast<unsigned char>(bytes[i])];
+    out[i] = symbol;
+    max_seen = std::max(max_seen, static_cast<std::uint32_t>(symbol));
+  }
+  if (max_seen < static_cast<std::uint32_t>(limit)) return bytes.size();
+  return first_invalid_symbol(std::span<const std::int32_t>(out, bytes.size()), limit);
+}
+
 std::size_t first_invalid_symbol(std::span<const std::int32_t> chunk,
                                  std::int32_t num_symbols) {
   // Blocked max-reduction so the common all-valid case vectorizes; the

@@ -56,12 +56,19 @@ class SymbolMap {
   }
 
   /// Translates a byte string into symbol ids (kUnmapped for alien bytes).
-  /// Guarantee used by the recognizers: every output symbol is either
-  /// kUnmapped or in [0, num_symbols()), so validating a translated chunk
-  /// is a single scan for out-of-range values (first_invalid_symbol below)
-  /// and the per-symbol range checks can be hoisted out of the kernels'
-  /// inner loops.
+  /// Every output symbol is either kUnmapped or in [0, num_symbols()). The
+  /// parallel byte entry points never call this on a whole text: the chunk
+  /// walker reads bytes through the table block by block (translate_block,
+  /// MappedBytes). It serves the serial oracles, the streaming feeds and
+  /// the NFA/SFA chunk tasks, each over its own span.
   std::vector<std::int32_t> translate(std::string_view text) const;
+
+  /// Translates `bytes` into out[0, bytes.size()) and returns the index of
+  /// the first symbol outside [0, limit), or bytes.size() when all are in
+  /// range: translation and first_invalid_symbol fused into one pass, so
+  /// the chunk walker validates a block of raw bytes where it reads it.
+  std::size_t translate_block(std::string_view bytes, std::int32_t limit,
+                              std::int32_t* out) const;
 
   const std::array<std::int32_t, 256>& raw_table() const { return byte_to_symbol_; }
 
@@ -77,5 +84,27 @@ class SymbolMap {
 /// SymbolMap::translate it amounts to a scan for kUnmapped.
 std::size_t first_invalid_symbol(std::span<const std::int32_t> chunk,
                                  std::int32_t num_symbols);
+
+/// Raw bytes read through a SymbolMap: the chunk source of the byte entry
+/// points. It reads like a span of symbols — text[i] is
+/// map->symbol_of(bytes[i]) — so the chunk walker and the join helpers take
+/// it or a span<const Symbol> alike, and no whole-text symbol vector is
+/// ever built. `map` must outlive the view.
+struct MappedBytes {
+  MappedBytes(std::string_view text, const SymbolMap& symbols)
+      : bytes(text), map(&symbols) {}
+
+  std::string_view bytes;
+  const SymbolMap* map;
+
+  std::size_t size() const { return bytes.size(); }
+  bool empty() const { return bytes.empty(); }
+  MappedBytes subspan(std::size_t offset, std::size_t count) const {
+    return {bytes.substr(offset, count), *map};
+  }
+  std::int32_t operator[](std::size_t i) const {
+    return map->symbol_of(static_cast<unsigned char>(bytes[i]));
+  }
+};
 
 }  // namespace rispar

@@ -73,6 +73,11 @@ class Device {
   /// users get the same contract.
   virtual QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                                 const QueryOptions& options) const = 0;
+  /// The same over raw bytes read through their map (the pattern's): each
+  /// chunk task reads its own bytes, so no whole-text symbol vector is
+  /// built. Bit-identical to recognize(text.map->translate(text.bytes)).
+  virtual QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
+                                const QueryOptions& options) const = 0;
 
   /// Consumes the next window of a streamed input, updating `carry` in
   /// place (empty windows are a no-op). Streaming runs the same chunk

@@ -10,9 +10,10 @@
 //   auto session = engine.stream();                 // window-by-window
 //   engine.match_all(texts);                        // many texts, one pool
 //
-// All entry points accept raw bytes (std::string_view) and translate
-// internally; span<const Symbol> overloads exist for callers that translate
-// once and query many times (the bench drivers). The four devices — DFA,
+// All entry points accept raw bytes (std::string_view); the one-shot ones
+// never materialize the text's symbols — each chunk walk reads its bytes
+// through the symbol map (MappedBytes). span<const Symbol> overloads are for
+// callers that already hold symbols (the bench drivers). The four devices — DFA,
 // NFA, RID, SFA — sit behind the polymorphic Device registry; options a
 // device cannot honor raise QueryError instead of being silently ignored.
 //
@@ -150,7 +151,7 @@ class Engine {
   StreamSession resume_stream(std::string_view blob,
                               const QueryOptions& options = {}) const;
 
-  /// Batch recognition: every text translated and recognized on the shared
+  /// Batch recognition: every text recognized from its bytes on the shared
   /// pool (texts in parallel, chunks within a text inline), one QueryResult
   /// per text in input order.
   std::vector<QueryResult> match_all(std::span<const std::string_view> texts,

@@ -96,11 +96,10 @@ DetChunkResult reference_convergent(const Dfa& dfa, std::span<const Symbol> chun
   return result;
 }
 
-}  // namespace
-
-DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
-                             std::span<const State> starts,
-                             const DetChunkOptions& options) {
+template <typename Source>
+DetChunkResult run_chunk_walk(const Dfa& dfa, const Source& chunk,
+                              std::span<const State> starts,
+                              const DetChunkOptions& options) {
   // Normalize so the walker only tests a single pointer: inactive
   // governors (no deadline, no token) cost nothing inside the loops.
   const QueryGovernor* gov =
@@ -120,6 +119,20 @@ DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
     if (end != kDeadState) result.lambda.emplace_back(starts[i], end);
   }
   return result;
+}
+
+}  // namespace
+
+DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
+                             std::span<const State> starts,
+                             const DetChunkOptions& options) {
+  return run_chunk_walk(dfa, chunk, starts, options);
+}
+
+DetChunkResult run_chunk_det(const Dfa& dfa, const MappedBytes& chunk,
+                             std::span<const State> starts,
+                             const DetChunkOptions& options) {
+  return run_chunk_walk(dfa, chunk, starts, options);
 }
 
 DetChunkResult run_chunk_det_reference(const Dfa& dfa, std::span<const Symbol> chunk,

@@ -75,6 +75,11 @@ struct DetChunkOptions {
 DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
                              std::span<const State> starts,
                              const DetChunkOptions& options = {});
+/// The same walk over raw bytes read through their map (MappedBytes):
+/// bit-identical to run_chunk_det over chunk.map->translate(chunk.bytes).
+DetChunkResult run_chunk_det(const Dfa& dfa, const MappedBytes& chunk,
+                             std::span<const State> starts,
+                             const DetChunkOptions& options = {});
 
 /// The seed implementations (start-at-a-time independent runs; hash-map
 /// convergence): the oracle run_chunk_det is tested against, result for

@@ -5,8 +5,12 @@
 // A walk advances every start of `starts` over one chunk in lockstep on the
 // width-packed, symbol-major table (automata/packed_table.hpp) — the chunk
 // is streamed once however many starts there are, and dead runs are
-// compacted out so each symbol costs O(live). Three template parameters
-// shape it:
+// compacted out so each symbol costs O(live). The chunk is a *source*:
+// either symbols already translated (span<const Symbol>, read in place) or
+// raw bytes with their SymbolMap (MappedBytes, automata/symbol_map.hpp),
+// read through the map's 256-entry table where the walk consumes them — so
+// the byte entry points never build a whole-text symbol vector. Three more
+// template parameters shape a walk:
 //
 //  * the table width T (u8 / u16 / i32 entries), picked from the table;
 //  * kConvergent — runs that land in the same state at the same position
@@ -32,17 +36,20 @@
 //    the scalar step;
 //  * 2..7 — the scalar column loop: one column base per symbol, one
 //    dependent table load per live run;
-//  * 1 — the lone-run loop, with no compaction bookkeeping at all; it
-//    checks each symbol inline instead of validating blocks and runs to
-//    the chunk end (or the next governance poll).
+//  * 1 — the lone-run loop (lone_run, shared by both convergence modes),
+//    with no compaction bookkeeping at all; it maps and checks each symbol
+//    inline instead of validating blocks and runs to the chunk end (or the
+//    next governance poll).
 //
 // All three steps produce bit-identical forests, recorder contents and
-// transition counts (tests/test_ca_run.cpp checks every band against
-// run_chunk_det_reference). The many-run steps validate each block right
-// before their unchecked loops consume it; an out-of-alphabet symbol kills
-// every live run without being counted (the accounting convention of
-// parallel/ca_run.hpp). Governance polls between steps once the consumed
-// symbols reach kGovernorStride.
+// transition counts, from either source (tests/test_ca_run.cpp checks
+// every band against run_chunk_det_reference, tests/test_byte_path.cpp the
+// bytes against their symbols). The many-run steps validate each block
+// right before their unchecked loops consume it — for bytes, the same pass
+// translates the block into a stack buffer; an out-of-alphabet symbol (an
+// unmapped byte) kills every live run without being counted (the
+// accounting convention of parallel/ca_run.hpp). Governance polls between
+// steps once the consumed symbols reach kGovernorStride.
 #pragma once
 
 #include <algorithm>
@@ -50,7 +57,6 @@
 #include <numeric>
 #include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "automata/dfa.hpp"
@@ -61,9 +67,9 @@
 
 namespace rispar {
 
-/// Symbols are validated in windows of this size immediately before the
-/// unchecked inner loops consume them, so a chunk whose runs all die early
-/// never pays for validating its tail.
+/// Symbols are validated (bytes translated and validated) in windows of this
+/// size immediately before the unchecked inner loops consume them, so a
+/// chunk whose runs all die early never pays for validating its tail.
 inline constexpr std::size_t kValidateBlock = 512;
 
 /// A gather block is 8 lanes wide: from this many live runs on, the walker
@@ -93,27 +99,71 @@ struct NoRecord {
 
 namespace walker_detail {
 
-// {valid_end, block_end}: chunk[pos, valid_end) is in range, and
-// valid_end < block_end means chunk[valid_end] is an alien symbol.
-inline std::pair<std::size_t, std::size_t> validated_block(std::span<const Symbol> chunk,
-                                                           std::size_t pos,
-                                                           std::int32_t num_symbols) {
-  const std::size_t block_end = std::min(pos + kValidateBlock, chunk.size());
-  const std::size_t valid_end =
-      pos + first_invalid_symbol(chunk.subspan(pos, block_end - pos), num_symbols);
-  return {valid_end, block_end};
+/// One validated block of a chunk: symbols[0, valid) are in range and,
+/// when valid < size, symbols[valid] is an alien symbol.
+struct Block {
+  const Symbol* symbols;
+  std::size_t valid;
+  std::size_t size;
+};
+
+// A symbol span is validated in place.
+inline Block fill_block(std::span<const Symbol> chunk, std::size_t pos,
+                        std::int32_t num_symbols, Symbol*) {
+  const std::size_t size = std::min(kValidateBlock, chunk.size() - pos);
+  const Symbol* symbols = chunk.data() + pos;
+  return {symbols, first_invalid_symbol({symbols, size}, num_symbols), size};
 }
 
-template <bool kConvergent, typename T, typename Recorder>
-WalkForest walk(const PackedTable& table, std::span<const Symbol> chunk,
+// Raw bytes are translated into the walker's stack buffer by the same pass
+// that validates them.
+inline Block fill_block(const MappedBytes& chunk, std::size_t pos,
+                        std::int32_t num_symbols, Symbol* scratch) {
+  const std::size_t size = std::min(kValidateBlock, chunk.size() - pos);
+  return {scratch,
+          chunk.map->translate_block(chunk.bytes.substr(pos, size), num_symbols, scratch),
+          size};
+}
+
+/// Where a lone run stopped, in what state, and whether it died there.
+struct LoneEnd {
+  std::size_t pos;
+  std::size_t state;
+  bool died;
+};
+
+// The lone-run loop: the last live run steps over chunk[pos, stop) with no
+// compaction bookkeeping. It reads each symbol where it stands (a byte
+// through its map) and checks it inline — one predictable compare off the
+// dependent load chain, cheaper than a validation pass — and keeps its
+// state zero-extended so the chain carries no sign extension. Convergence
+// cannot merge a lone run, so the independent and convergent walks share
+// this one out-of-line body.
+template <typename T, typename Source, typename Recorder>
+[[gnu::noinline]] LoneEnd lone_run(const T* entries, std::size_t n, std::uint32_t limit,
+                                   const Source chunk, std::size_t pos, std::size_t stop,
+                                   std::size_t s, std::uint32_t id, Recorder& record) {
+  for (; pos < stop; ++pos) {
+    const auto symbol = static_cast<std::uint32_t>(chunk[pos]);
+    if (symbol >= limit) return {pos, s, true};  // alien symbol: dies uncounted
+    const T next = entries[symbol * n + s];
+    if (next == PackedDead<T>::value) return {pos, s, true};
+    s = static_cast<std::make_unsigned_t<T>>(next);
+    record.step(id, static_cast<std::int32_t>(s), static_cast<std::int64_t>(pos + 1));
+  }
+  return {pos, s, false};
+}
+
+template <bool kConvergent, typename T, typename Source, typename Recorder>
+WalkForest walk(const PackedTable& table, const Source& chunk,
                 std::span<const State> starts, Recorder& record,
                 const QueryGovernor* gov) {
   constexpr std::int32_t kDead = PackedWideDead<T>;
   const T* entries = table.data<T>();
   const auto n = static_cast<std::size_t>(table.num_states());
   const auto limit = static_cast<std::uint32_t>(table.num_symbols());
-  const auto column = [&](std::size_t at) {
-    return entries + static_cast<std::size_t>(chunk[at]) * n;
+  const auto column = [&](Symbol symbol) {
+    return entries + static_cast<std::size_t>(symbol) * n;
   };
 
   WalkForest forest;
@@ -190,6 +240,7 @@ WalkForest walk(const PackedTable& table, std::span<const Symbol> chunk,
   };
 
   const simd::GatherOps& ops = simd::gather_ops();
+  Symbol scratch[kValidateBlock]{};  // a byte chunk's current block, translated
   std::size_t pos = 0;
   std::size_t next_poll = kGovernorStride;
   while (pos < chunk.size() && live > 0) {
@@ -198,55 +249,42 @@ WalkForest walk(const PackedTable& table, std::span<const Symbol> chunk,
       next_poll = pos + kGovernorStride;
     }
     if (live == 1) {
-      // The lone run checks each symbol inline — one predictable compare
-      // off the dependent load chain, cheaper than a validation pass — and
-      // keeps its state zero-extended so the chain carries no sign
-      // extension. It runs to the chunk end or the next poll.
+      // The lone run goes to the chunk end or the next poll.
       const std::size_t stop = gov != nullptr ? std::min(chunk.size(), next_poll)
                                               : chunk.size();
-      std::size_t s = static_cast<std::uint32_t>(state[0]);
-      const std::uint32_t id = node[0];
-      const std::size_t from = pos;
-      for (; pos < stop; ++pos) {
-        const auto symbol = static_cast<std::uint32_t>(chunk[pos]);
-        if (symbol >= limit) {
-          live = 0;  // alien symbol: the run dies uncounted
-          break;
-        }
-        const T next = entries[symbol * n + s];
-        if (next == PackedDead<T>::value) {
-          live = 0;
-          break;
-        }
-        s = static_cast<std::make_unsigned_t<T>>(next);
-        record.step(id, static_cast<std::int32_t>(s), static_cast<std::int64_t>(pos + 1));
-      }
-      transitions += pos - from;
-      state[0] = static_cast<std::int32_t>(s);
+      const LoneEnd end =
+          lone_run<T>(entries, n, limit, chunk, pos, stop,
+                      static_cast<std::uint32_t>(state[0]), node[0], record);
+      transitions += end.pos - pos;
+      pos = end.pos;
+      state[0] = static_cast<std::int32_t>(end.state);
+      if (end.died) live = 0;
       continue;
     }
-    const auto [valid_end, block_end] = validated_block(chunk, pos, table.num_symbols());
+    const Block block = fill_block(chunk, pos, table.num_symbols(), scratch);
+    std::size_t k = 0;  // symbols of the block consumed
     if (live >= kGatherLanes) {
       if constexpr (!kConvergent && Recorder::kPassive) {
-        pos += simd::advance_span_fn<T>(ops)(entries, n, chunk.data() + pos,
-                                             valid_end - pos, state.data(), node.data(),
-                                             live, transitions, kGatherLanes);
+        k = simd::advance_span_fn<T>(ops)(entries, n, block.symbols, block.valid,
+                                          state.data(), node.data(), live, transitions,
+                                          kGatherLanes);
       } else {
         const simd::GatherFn gather = simd::gather_fn<T>(ops);
-        for (; pos < valid_end && live >= kGatherLanes; ++pos) {
-          gather(column(pos), state.data(), live, state.data());
+        for (; k < block.valid && live >= kGatherLanes; ++k) {
+          gather(column(block.symbols[k]), state.data(), live, state.data());
           settle([&](std::size_t i) { return state[i]; },
-                 static_cast<std::int64_t>(pos + 1));
+                 static_cast<std::int64_t>(pos + k + 1));
         }
       }
     } else {
-      for (; pos < valid_end && live > 1; ++pos) {
-        const T* col = column(pos);
+      for (; k < block.valid && live > 1; ++k) {
+        const T* col = column(block.symbols[k]);
         settle([&](std::size_t i) { return static_cast<std::int32_t>(col[state[i]]); },
-               static_cast<std::int64_t>(pos + 1));
+               static_cast<std::int64_t>(pos + k + 1));
       }
     }
-    if (live > 0 && pos == valid_end && valid_end < block_end)
+    pos += k;
+    if (live > 0 && k == block.valid && block.valid < block.size)
       live = 0;  // alien symbol at pos: every run dies uncounted
   }
 
@@ -256,8 +294,8 @@ WalkForest walk(const PackedTable& table, std::span<const Symbol> chunk,
   return forest;
 }
 
-template <typename T, typename Recorder>
-WalkForest walk_width(const PackedTable& table, std::span<const Symbol> chunk,
+template <typename T, typename Source, typename Recorder>
+WalkForest walk_width(const PackedTable& table, const Source& chunk,
                       std::span<const State> starts, bool convergence, Recorder& record,
                       const QueryGovernor* gov) {
   return convergence ? walk<true, T>(table, chunk, starts, record, gov)
@@ -266,11 +304,12 @@ WalkForest walk_width(const PackedTable& table, std::span<const Symbol> chunk,
 
 }  // namespace walker_detail
 
-/// Walks `chunk` from every state of `starts` (valid state ids of `dfa`),
+/// Walks `chunk` — a span<const Symbol>, or MappedBytes read through their
+/// map — from every state of `starts` (valid state ids of `dfa`),
 /// reporting each executed step to `record`. `gov` must be normalized
 /// (nullptr when inactive).
-template <typename Recorder>
-WalkForest walk_chunk(const Dfa& dfa, std::span<const Symbol> chunk,
+template <typename Source, typename Recorder>
+WalkForest walk_chunk(const Dfa& dfa, const Source& chunk,
                       std::span<const State> starts, bool convergence, Recorder& record,
                       const QueryGovernor* gov) {
   const PackedTable& table = dfa.packed();
@@ -296,8 +335,10 @@ WalkForest walk_chunk(const Dfa& dfa, std::span<const Symbol> chunk,
 /// are added to `transitions` (speculative work, parallel/ca_run.hpp). The
 /// serial run crosses the same symbols, so whenever it is alive at the
 /// boundary its state is among the seeds: seeding a chunk from them never
-/// changes a result, only how many runs speculate.
-inline std::vector<State> lookback_seeds(const Dfa& dfa, std::span<const Symbol> text,
+/// changes a result, only how many runs speculate. `text` is a walk_chunk
+/// source.
+template <typename Source>
+std::vector<State> lookback_seeds(const Dfa& dfa, const Source& text,
                                          std::size_t boundary, std::size_t lookback,
                                          std::uint64_t& transitions,
                                          const QueryGovernor* gov) {

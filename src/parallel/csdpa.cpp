@@ -56,6 +56,18 @@ std::vector<Result> run_window_chunks(std::span<const Symbol> window,
   return results;
 }
 
+// The NFA and SFA kernels read symbols: a byte chunk is translated inside
+// its own pool task, a symbol chunk is used in place.
+template <typename Fn>
+auto with_symbols(std::span<const Symbol> chunk, Fn&& fn) {
+  return fn(chunk);
+}
+template <typename Fn>
+auto with_symbols(const MappedBytes& chunk, Fn&& fn) {
+  const std::vector<Symbol> symbols = chunk.map->translate(chunk.bytes);
+  return fn(std::span<const Symbol>(symbols));
+}
+
 // Join fold shared by the DFA/NFA streaming paths, which both track the
 // PLAS as a bitset: the first chunk's survivors are kept verbatim (their
 // starts were exactly the carried PLAS), later chunks filter through the
@@ -93,6 +105,17 @@ DfaDevice::DfaDevice(const Dfa& dfa) : dfa_(dfa) {
 
 QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
                                  const QueryOptions& options) const {
+  return recognize_source(input, pool, options);
+}
+
+QueryResult DfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_source(text, pool, options);
+}
+
+template <typename Source>
+QueryResult DfaDevice::recognize_source(const Source& input, ThreadPool& pool,
+                                        const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(dfa_.is_final(dfa_.initial()));
 
@@ -222,6 +245,17 @@ NfaDevice::NfaDevice(const Nfa& nfa) : nfa_(nfa) {
 
 QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
                                  const QueryOptions& options) const {
+  return recognize_source(input, pool, options);
+}
+
+QueryResult NfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_source(text, pool, options);
+}
+
+template <typename Source>
+QueryResult NfaDevice::recognize_source(const Source& input, ThreadPool& pool,
+                                        const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(nfa_.is_final(nfa_.initial()));
 
@@ -240,7 +274,9 @@ QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
     const std::span<const State> starts =
         (i == 0) ? std::span<const State>(first_start)
                  : std::span<const State>(all_states_);
-    results[i] = run_chunk_nfa(nfa_, span, starts, gov);
+    results[i] = with_symbols(span, [&](std::span<const Symbol> symbols) {
+      return run_chunk_nfa(nfa_, symbols, starts, gov);
+    });
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 
@@ -300,6 +336,17 @@ RidDevice::RidDevice(const Ridfa& ridfa) : ridfa_(ridfa) {
 
 QueryResult RidDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
                                  const QueryOptions& options) const {
+  return recognize_source(input, pool, options);
+}
+
+QueryResult RidDevice::recognize(const MappedBytes& text, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_source(text, pool, options);
+}
+
+template <typename Source>
+QueryResult RidDevice::recognize_source(const Source& input, ThreadPool& pool,
+                                        const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   const Dfa& ca = ridfa_.dfa();
   if (input.empty()) return empty_input_result(ridfa_.is_final(ridfa_.start_state()));
@@ -437,6 +484,17 @@ State SfaDevice::run_chunk(std::span<const Symbol> chunk,
 
 QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
                                  const QueryOptions& options) const {
+  return recognize_source(input, pool, options);
+}
+
+QueryResult SfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_source(text, pool, options);
+}
+
+template <typename Source>
+QueryResult SfaDevice::recognize_source(const Source& input, ThreadPool& pool,
+                                        const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(ca_.is_final(ca_.initial()));
 
@@ -455,7 +513,10 @@ QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   std::vector<std::uint64_t> counts(chunks.size(), 0);
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary
-    arrivals[i] = run_chunk(input.subspan(chunks[i].begin, chunks[i].length), counts[i]);
+    arrivals[i] = with_symbols(input.subspan(chunks[i].begin, chunks[i].length),
+                               [&](std::span<const Symbol> symbols) {
+                                 return run_chunk(symbols, counts[i]);
+                               });
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 

@@ -51,6 +51,8 @@ class DfaDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -59,6 +61,10 @@ class DfaDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  template <typename Source>  // span<const Symbol> or MappedBytes
+  QueryResult recognize_source(const Source& input, ThreadPool& pool,
+                               const QueryOptions& options) const;
+
   const Dfa& dfa_;
   std::vector<State> all_states_;  ///< speculative start set = Q
 };
@@ -73,6 +79,8 @@ class NfaDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -81,6 +89,10 @@ class NfaDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  template <typename Source>  // span<const Symbol> or MappedBytes
+  QueryResult recognize_source(const Source& input, ThreadPool& pool,
+                               const QueryOptions& options) const;
+
   const Nfa& nfa_;
   std::vector<State> all_states_;
 };
@@ -96,6 +108,8 @@ class RidDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -104,6 +118,10 @@ class RidDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  template <typename Source>  // span<const Symbol> or MappedBytes
+  QueryResult recognize_source(const Source& input, ThreadPool& pool,
+                               const QueryOptions& options) const;
+
   const Ridfa& ridfa_;
 };
 
@@ -122,6 +140,8 @@ class SfaDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -130,6 +150,10 @@ class SfaDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  template <typename Source>  // span<const Symbol> or MappedBytes
+  QueryResult recognize_source(const Source& input, ThreadPool& pool,
+                               const QueryOptions& options) const;
+
   /// Arrival SFA state of one chunk; kDeadState when the chunk contains an
   /// alien symbol and the all-dead mapping was never interned (total chunk
   /// automaton) — the composition must still die.

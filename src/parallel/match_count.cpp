@@ -123,12 +123,12 @@ struct ChunkRun {
 };
 
 /// The reach phase counting and finding share: one walk per chunk of
-/// `text` on the pool. The first chunk runs from `first` alone, every later
-/// one from the look-back seeds of its boundary (chunk_walker.hpp), whose
-/// probe transitions count as the chunk's speculative work (convention:
-/// parallel/ca_run.hpp).
-template <typename Record>
-std::vector<ChunkRun<Record>> reach(const Dfa& dfa, std::span<const Symbol> text,
+/// `text` (a walk_chunk source) on the pool. The first chunk runs from
+/// `first` alone, every later one from the look-back seeds of its boundary
+/// (chunk_walker.hpp), whose probe transitions count as the chunk's
+/// speculative work (convention: parallel/ca_run.hpp).
+template <typename Record, typename Source>
+std::vector<ChunkRun<Record>> reach(const Dfa& dfa, const Source& text,
                                     std::span<const ChunkSpan> chunks, State first,
                                     bool convergence, ThreadPool& pool,
                                     const QueryGovernor* gov) {
@@ -248,9 +248,11 @@ const QueryGovernor* resolve_governor(const QueryGovernor* provided,
 /// occurrence ends at `end`, and the floor is sound (the approximate begin
 /// under a separators_sound certificate, the text/history start otherwise),
 /// so a final state is always visited; `fallback` only guards a corrupt
-/// artifact. Positions are indices into `text` — the caller maps absolute
-/// offsets onto it.
-std::uint64_t resolve_exact_begin(const Dfa& rev, std::span<const Symbol> text,
+/// artifact. Positions are indices into `text` (symbols, or MappedBytes
+/// read through the searcher's map) — the caller maps absolute offsets onto
+/// it.
+template <typename Source>
+std::uint64_t resolve_exact_begin(const Dfa& rev, const Source& text,
                                   std::uint64_t end, std::uint64_t floor,
                                   std::uint64_t fallback) {
   State state = rev.initial();
@@ -277,9 +279,11 @@ void require_reverse(const ReverseBegins* reverse, const char* context) {
 
 }  // namespace
 
-QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
-                          ThreadPool& pool, const QueryOptions& options,
-                          const QueryGovernor* governor) {
+namespace {
+
+template <typename Source>
+QueryResult count_source(const Dfa& dfa, const Source& input, ThreadPool& pool,
+                         const QueryOptions& options, const QueryGovernor* governor) {
   validate_query(options, kCountingCaps, kCountingContext);
   const QueryGovernor own(options.deadline, options.cancel);
   const QueryGovernor* gov = resolve_governor(governor, own);
@@ -310,6 +314,19 @@ QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
+}
+
+}  // namespace
+
+QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
+                          ThreadPool& pool, const QueryOptions& options,
+                          const QueryGovernor* governor) {
+  return count_source(dfa, input, pool, options, governor);
+}
+
+QueryResult count_matches(const Dfa& dfa, std::string_view text, ThreadPool& pool,
+                          const QueryOptions& options, const QueryGovernor* governor) {
+  return count_source(dfa, MappedBytes(text, dfa.symbols()), pool, options, governor);
 }
 
 QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
@@ -350,10 +367,12 @@ QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
   return result;
 }
 
-QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
-                         ThreadPool& pool, const QueryOptions& options,
-                         std::uint32_t pattern_id, const QueryGovernor* governor,
-                         const ReverseBegins* reverse) {
+namespace {
+
+template <typename Source>
+QueryResult find_source(const Dfa& dfa, const Source& input, ThreadPool& pool,
+                        const QueryOptions& options, std::uint32_t pattern_id,
+                        const QueryGovernor* governor, const ReverseBegins* reverse) {
   validate_query(options, kFindingCaps, kFindingContext);
   const bool exact = options.begin_mode == BeginMode::kExact;
   if (exact) require_reverse(reverse, "find");
@@ -397,6 +416,22 @@ QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
+}
+
+}  // namespace
+
+QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
+                         ThreadPool& pool, const QueryOptions& options,
+                         std::uint32_t pattern_id, const QueryGovernor* governor,
+                         const ReverseBegins* reverse) {
+  return find_source(dfa, input, pool, options, pattern_id, governor, reverse);
+}
+
+QueryResult find_matches(const Dfa& dfa, std::string_view text, ThreadPool& pool,
+                         const QueryOptions& options, std::uint32_t pattern_id,
+                         const QueryGovernor* governor, const ReverseBegins* reverse) {
+  return find_source(dfa, MappedBytes(text, dfa.symbols()), pool, options, pattern_id,
+                     governor, reverse);
 }
 
 void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> window,

@@ -80,6 +80,12 @@ QueryResult count_matches_serial(const Dfa& dfa, std::span<const Symbol> input);
 QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
                           ThreadPool& pool, const QueryOptions& options,
                           const QueryGovernor* governor = nullptr);
+/// The byte entry: `text` is read through dfa.symbols() chunk by chunk
+/// inside the walk (no whole-text symbol vector); bit-identical to
+/// counting dfa.symbols().translate(text).
+QueryResult count_matches(const Dfa& dfa, std::string_view text, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor = nullptr);
 
 /// What finding honors of the unified options (chunks, convergence,
 /// begin_mode, offset/limit paging) — shared with Engine::find / PatternSet so they can
@@ -115,6 +121,13 @@ QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
 QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
                          ThreadPool& pool, const QueryOptions& options,
                          std::uint32_t pattern_id = 0,
+                         const QueryGovernor* governor = nullptr,
+                         const ReverseBegins* reverse = nullptr);
+/// The byte entry, read through dfa.symbols() like count_matches' (the
+/// reverse DFA of kExact reads the same bytes); bit-identical to finding
+/// over dfa.symbols().translate(text).
+QueryResult find_matches(const Dfa& dfa, std::string_view text, ThreadPool& pool,
+                         const QueryOptions& options, std::uint32_t pattern_id = 0,
                          const QueryGovernor* governor = nullptr,
                          const ReverseBegins* reverse = nullptr);
 

@@ -276,7 +276,9 @@ TEST(DetKernelEquivalence, LookbackSeedsMatchLambdaImage) {
     std::sort(image.begin(), image.end());
     image.erase(std::unique(image.begin(), image.end()), image.end());
     std::uint64_t probe = 0;
-    EXPECT_EQ(lookback_seeds(dfa, chunk, chunk.size(), chunk.size(), probe, nullptr), image);
+    EXPECT_EQ(lookback_seeds(dfa, std::span<const Symbol>(chunk), chunk.size(),
+                             chunk.size(), probe, nullptr),
+              image);
     EXPECT_EQ(probe, merged.transitions);
   }
 }

@@ -243,7 +243,9 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
         find_matches_serial(searcher, searcher.symbols().translate(text));
     const bool oracle_accepts = engine.accepts(text);
 
-    // One-shot find across chunks × convergence (variant not consulted).
+    // One-shot find and count across chunks × convergence (variant not
+    // consulted), through the byte entries: each chunk walk reads the text
+    // through the searcher's map, the production path.
     for (const std::size_t chunks : kChunks) {
       for (const bool convergence : {false, true}) {
         const QueryResult one_shot =
@@ -251,7 +253,29 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
         ASSERT_EQ(one_shot.positions, oracle.positions)
             << "one-shot chunks=" << chunks << " conv=" << convergence;
         ASSERT_EQ(one_shot.matches, oracle.matches);
+        ASSERT_EQ(engine.count(text, {.chunks = chunks, .convergence = convergence})
+                      .matches,
+                  oracle.matches)
+            << "count chunks=" << chunks << " conv=" << convergence;
       }
+    }
+
+    // One-shot recognize from bytes: every variant × chunks × convergence
+    // against the serial decision.
+    for (const Variant variant : kVariants) {
+      if (engine.try_device(variant) == nullptr) continue;  // SFA explosion
+      const DeviceCaps caps = engine.device(variant).capabilities();
+      for (const std::size_t chunks : kChunks)
+        for (const bool convergence : {false, true}) {
+          if (convergence && !caps.convergence) continue;
+          ASSERT_EQ(engine
+                        .recognize(text, {.variant = variant,
+                                          .chunks = chunks,
+                                          .convergence = convergence})
+                        .accepted,
+                    oracle_accepts)
+              << variant_name(variant) << " chunks=" << chunks << " conv=" << convergence;
+        }
     }
 
     // Streaming find: every variant × chunks × convergence the device's
@@ -357,14 +381,22 @@ TEST(ExactBeginFuzz, ExactBeginsEqualAcrossAllPathsAndOracles) {
           << "end=" << exact.end << " separators_sound=" << reverse.separators_sound;
     }
 
-    // One-shot exact find across the chunk × convergence matrix.
+    // One-shot exact find across the chunk × convergence matrix, from bytes
+    // (Engine::find, the production path: the forward walk and the backward
+    // reverse-DFA scans both read the text through the searcher's map) and
+    // from the translated symbols.
     for (const std::size_t chunks : kChunks) {
       for (const bool convergence : {false, true}) {
-        const QueryResult one_shot =
-            engine.find(text, {.chunks = chunks, .convergence = convergence,
-                               .begin_mode = BeginMode::kExact});
+        const QueryOptions options{.chunks = chunks, .convergence = convergence,
+                                   .begin_mode = BeginMode::kExact};
+        const QueryResult one_shot = engine.find(text, options);
         ASSERT_EQ(one_shot.positions, exact_oracle.positions)
             << "one-shot chunks=" << chunks << " conv=" << convergence;
+        ASSERT_EQ(find_matches(searcher, input, engine.pool(), options, 0, nullptr,
+                               &reverse)
+                      .positions,
+                  exact_oracle.positions)
+            << "symbols chunks=" << chunks << " conv=" << convergence;
       }
     }
 

@@ -288,6 +288,9 @@ TEST(Governance, ChunkWalkerTripsInEveryStep) {
   cycle.set_initial(0);
   for (State s = 0; s < 64; ++s) cycle.set_transition(s, 0, (s + 1) % 64);
   const std::vector<Symbol> chunk(3 * kGovernorStride, 0);
+  // The same chunk as raw bytes read through the cycle's map ('a' = 0).
+  const std::string bytes(chunk.size(), 'a');
+  const MappedBytes mapped(bytes, cycle.symbols());
   const QueryGovernor tripped(std::chrono::nanoseconds{0}, cancelled_token());
   for (const std::size_t live : {16u, 4u, 1u}) {
     std::vector<State> starts;
@@ -297,8 +300,15 @@ TEST(Governance, ChunkWalkerTripsInEveryStep) {
                                  {.convergence = convergence, .governor = &tripped}),
                    QueryCancelled)
           << live << " live, conv=" << convergence;
-      // The same walk without the governor completes with every run alive.
+      EXPECT_THROW(run_chunk_det(cycle, mapped, starts,
+                                 {.convergence = convergence, .governor = &tripped}),
+                   QueryCancelled)
+          << live << " live, conv=" << convergence << ", bytes";
+      // The same walks without the governor complete with every run alive.
       EXPECT_EQ(run_chunk_det(cycle, chunk, starts, {.convergence = convergence})
+                    .lambda.size(),
+                live);
+      EXPECT_EQ(run_chunk_det(cycle, mapped, starts, {.convergence = convergence})
                     .lambda.size(),
                 live);
     }

@@ -239,7 +239,8 @@ TEST(LookbackSeeds, HoldTheSerialBoundaryState) {
       const std::size_t lookback = std::min({kBoundaryProbe, chunk.begin, chunk.length});
       std::uint64_t probe = 0;
       const std::vector<State> seeds =
-          lookback_seeds(dfa, text, chunk.begin, lookback, probe, nullptr);
+          lookback_seeds(dfa, std::span<const Symbol>(text), chunk.begin, lookback, probe,
+                         nullptr);
       EXPECT_TRUE(std::is_sorted(seeds.begin(), seeds.end()));
       EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
       const auto window = std::span<const Symbol>(text).subspan(chunk.begin - lookback, lookback);
