@@ -3,20 +3,71 @@
 //       RID transition counts on the five benchmarks;
 //   (2) run-convergence in the deterministic chunk kernels (the Mytkowicz-
 //       style optimization the paper lists as compatible, Sect. 5): its
-//       effect on DFA-variant and RID transition counts.
+//       effect on DFA-variant and RID transition counts;
+//   (3) look-back speculation for the DFA variant (Sect. 5 / [28]).
+// Ablations 2 and 3 are kernel-level choices, not query options: their
+// rows replay a recognize() reach phase chunk by chunk through
+// run_chunk_det / lookback_seeds, which sum to the device's transition
+// count.
 #include <cstdio>
 #include <iostream>
+#include <numeric>
 
 #include "automata/glushkov.hpp"
 #include "automata/minimize.hpp"
 #include "automata/subset.hpp"
 #include "common.hpp"
 #include "core/interface_min.hpp"
+#include "parallel/chunk_walker.hpp"
+#include "parallel/chunking.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
 using namespace rispar;
 using namespace rispar::bench;
+
+namespace {
+
+/// Reach-phase transitions of one recognize() over `chunks` chunks of
+/// `input` on chunk automaton `ca`: chunk 1 runs from `initial` alone, later
+/// chunks from `speculative` — or, with `lookback` > 0, from the look-back
+/// seeds of their boundary, whose probe counts as speculative work (the
+/// convention of parallel/ca_run.hpp).
+std::uint64_t reach_transitions(const Dfa& ca, std::span<const Symbol> input,
+                                std::size_t chunks, State initial,
+                                std::span<const State> speculative, bool convergence,
+                                std::size_t lookback = 0) {
+  std::uint64_t transitions = 0;
+  const DetChunkOptions options{.convergence = convergence};
+  for (const ChunkSpan& span : split_chunks(input.size(), chunks)) {
+    std::vector<State> starts{initial};
+    if (span.begin > 0 && lookback > 0)
+      starts = lookback_seeds(ca, input, span.begin, lookback, transitions, nullptr);
+    else if (span.begin > 0)
+      starts.assign(speculative.begin(), speculative.end());
+    const auto chunk = input.subspan(span.begin, span.length);
+    transitions += run_chunk_det(ca, chunk, starts, options).transitions;
+  }
+  return transitions;
+}
+
+std::uint64_t dfa_transitions(const Prepared& prepared, std::size_t chunks,
+                              bool convergence, std::size_t lookback = 0) {
+  const Dfa& dfa = prepared.engine.pattern().min_dfa();
+  std::vector<State> all(static_cast<std::size_t>(dfa.num_states()));
+  std::iota(all.begin(), all.end(), 0);
+  return reach_transitions(dfa, prepared.input, chunks, dfa.initial(), all, convergence,
+                           lookback);
+}
+
+std::uint64_t rid_transitions(const Prepared& prepared, std::size_t chunks,
+                              bool convergence) {
+  const Ridfa& ridfa = prepared.engine.pattern().ridfa();
+  return reach_transitions(ridfa.dfa(), prepared.input, chunks, ridfa.start_state(),
+                           ridfa.initial_states(), convergence);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("ablation_options", "ablations: interface minimization, run convergence");
@@ -60,18 +111,10 @@ int main(int argc, char** argv) {
                    "RID trans (indep)", "RID trans (converge)"});
   for (const auto& spec : benchmark_suite(static_cast<int>(cli.get_int("k")))) {
     const Prepared prepared(spec, bytes, seed);
-    ablation2.add_row(
-        {spec.name,
-         Table::cell(transitions_of(
-             prepared, {.variant = Variant::kDfa, .chunks = chunks})),
-         Table::cell(transitions_of(prepared, {.variant = Variant::kDfa,
-                                               .chunks = chunks,
-                                               .convergence = true})),
-         Table::cell(transitions_of(
-             prepared, {.variant = Variant::kRid, .chunks = chunks})),
-         Table::cell(transitions_of(prepared, {.variant = Variant::kRid,
-                                               .chunks = chunks,
-                                               .convergence = true}))});
+    ablation2.add_row({spec.name, Table::cell(dfa_transitions(prepared, chunks, false)),
+                       Table::cell(dfa_transitions(prepared, chunks, true)),
+                       Table::cell(rid_transitions(prepared, chunks, false)),
+                       Table::cell(rid_transitions(prepared, chunks, true))});
   }
   ablation2.render(std::cout);
 
@@ -81,16 +124,10 @@ int main(int argc, char** argv) {
                    "DFA trans (lookback 64)", "RID trans"});
   for (const auto& spec : benchmark_suite(static_cast<int>(cli.get_int("k")))) {
     const Prepared prepared(spec, bytes, seed);
-    ablation3.add_row(
-        {spec.name,
-         Table::cell(transitions_of(
-             prepared, {.variant = Variant::kDfa, .chunks = chunks})),
-         Table::cell(transitions_of(
-             prepared, {.variant = Variant::kDfa, .chunks = chunks, .lookback = 16})),
-         Table::cell(transitions_of(
-             prepared, {.variant = Variant::kDfa, .chunks = chunks, .lookback = 64})),
-         Table::cell(transitions_of(
-             prepared, {.variant = Variant::kRid, .chunks = chunks}))});
+    ablation3.add_row({spec.name, Table::cell(dfa_transitions(prepared, chunks, false)),
+                       Table::cell(dfa_transitions(prepared, chunks, false, 16)),
+                       Table::cell(dfa_transitions(prepared, chunks, false, 64)),
+                       Table::cell(rid_transitions(prepared, chunks, false))});
   }
   ablation3.render(std::cout);
 

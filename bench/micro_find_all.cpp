@@ -1,7 +1,7 @@
 // Microbenchmarks of the position-emitting finding path: find_matches
-// against counting on the same chunk walker and against the serial
-// oracle, with convergence on and off, plus PatternSet multi-pattern
-// serving of one text. Rows on the pool report wall-clock throughput with
+// against counting on the same (always convergent) chunk walker and
+// against the serial oracle, plus PatternSet multi-pattern serving of one
+// text. Rows on the pool report wall-clock throughput with
 // process CPU time as a side counter (bench/benchmark_json_main.hpp).
 //
 // Unless the caller passes --benchmark_out, results are also written as
@@ -46,17 +46,15 @@ FindFixture& fixture() {
 QueryOptions options_from_args(const benchmark::State& state) {
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(state.range(0));
-  options.convergence = state.range(1) != 0;
   return options;
 }
 
 std::string label_from_args(const benchmark::State& state) {
-  return "c=" + std::to_string(state.range(0)) +
-         (state.range(1) ? "/convergent" : "/independent") + "/walker";
+  return "c=" + std::to_string(state.range(0)) + "/walker";
 }
 
 // The serving path: positioned occurrences over the Σ*p searcher, one
-// chunk walk per chunk on the pool. Args: (chunks, convergence).
+// chunk walk per chunk on the pool. Arg: chunks.
 void BM_FindMatches(benchmark::State& state) {
   FindFixture& f = fixture();
   const QueryOptions options = options_from_args(state);
@@ -71,11 +69,9 @@ void BM_FindMatches(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
 }
 BENCHMARK(BM_FindMatches)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({32, 1})
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -97,7 +93,7 @@ BENCHMARK(BM_FindMatchesSerial)->Unit(benchmark::kMillisecond);
 // leftmost start. The expected cost over BM_FindMatches is the per-hit
 // backward walk, bounded by match density × backward distance to the
 // resolution floor (small for separator-sound patterns like this
-// literal). Args: (chunks, convergence).
+// literal). Arg: chunks.
 void BM_FindMatchesExactBegin(benchmark::State& state) {
   FindFixture& f = fixture();
   const ReverseBegins& reverse = f.pattern.reverse_begins();  // cached, unpaid
@@ -114,15 +110,14 @@ void BM_FindMatchesExactBegin(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
 }
 BENCHMARK(BM_FindMatchesExactBegin)
-    ->Args({1, 0})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({32, 1})
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // What positions cost over bare counting on the identical scan — the same
-// walker with a hit counter instead of a hit list. Args as above.
+// walker with a hit counter instead of a hit list. Arg: chunks.
 void BM_CountMatchesBaseline(benchmark::State& state) {
   FindFixture& f = fixture();
   const QueryOptions options = options_from_args(state);
@@ -137,8 +132,7 @@ void BM_CountMatchesBaseline(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.input.size()));
 }
 BENCHMARK(BM_CountMatchesBaseline)
-    ->Args({8, 0})
-    ->Args({8, 1})
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -150,7 +144,6 @@ void BM_PatternSetFind(benchmark::State& state) {
   const FindFixture& f = fixture();
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(state.range(0));
-  options.convergence = true;
   const bench::ProcessCpuCounter cpu;
   for (auto _ : state) {
     const QueryResult result = set.find(f.text, options);

@@ -1,6 +1,6 @@
 // Microbenchmarks of the streaming-find path: a positions StreamSession
 // fed window by window against the one-shot find_matches scan of the same
-// text, across window size × chunk fan-out × convergence. The interesting
+// text, across window size × chunk fan-out. The interesting
 // trade-off is window sizing: each window pays one serialized join plus,
 // for every chunk past the first, the look-back probe of its boundary —
 // small windows amortize badly, large windows delay emission (docs/perf.md,
@@ -47,14 +47,12 @@ StreamFixture& fixture() {
 }
 
 // The serving path: a positions session fed in windows, matches drained
-// through a sink (nothing accumulates). Args: (window KiB, chunks,
-// convergence).
+// through a sink (nothing accumulates). Args: (window KiB, chunks).
 void BM_StreamFind(benchmark::State& state) {
   StreamFixture& f = fixture();
   QueryOptions options;
   options.positions = true;
   options.chunks = static_cast<std::size_t>(state.range(1));
-  options.convergence = state.range(2) != 0;
   const std::size_t window = static_cast<std::size_t>(state.range(0)) << 10;
 
   const bench::ProcessCpuCounter cpu;
@@ -71,28 +69,24 @@ void BM_StreamFind(benchmark::State& state) {
   }
   cpu.report(state);
   state.SetLabel("w=" + std::to_string(state.range(0)) + "KiB/c=" +
-                 std::to_string(state.range(1)) +
-                 (state.range(2) ? "/convergent" : "/independent") + "/walker");
+                 std::to_string(state.range(1)) + "/walker");
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * f.text.size()));
 }
 BENCHMARK(BM_StreamFind)
-    ->Args({4, 1, 0})
-    ->Args({64, 1, 0})
-    ->Args({64, 8, 0})
-    ->Args({64, 8, 1})
-    ->Args({256, 8, 0})
-    ->Args({256, 8, 1})
+    ->Args({4, 1})
+    ->Args({64, 1})
+    ->Args({64, 8})
+    ->Args({256, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // What window-by-window feeding costs over the one-shot scan of the same
-// text (the no-streaming upper bound). Args: (chunks, convergence).
+// text (the no-streaming upper bound). Arg: chunks.
 void BM_OneShotFindBaseline(benchmark::State& state) {
   StreamFixture& f = fixture();
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(state.range(0));
-  options.convergence = state.range(1) != 0;
   const Dfa& searcher = f.engine.searcher();
   const std::vector<Symbol> input = searcher.symbols().translate(f.text);
   const bench::ProcessCpuCounter cpu;
@@ -102,15 +96,13 @@ void BM_OneShotFindBaseline(benchmark::State& state) {
     benchmark::DoNotOptimize(result.positions.size());
   }
   cpu.report(state);
-  state.SetLabel("c=" + std::to_string(state.range(0)) +
-                 (state.range(1) ? "/convergent" : "/independent") + "/walker");
+  state.SetLabel("c=" + std::to_string(state.range(0)) + "/walker");
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * input.size()));
 }
 BENCHMARK(BM_OneShotFindBaseline)
-    ->Args({1, 0})
-    ->Args({8, 0})
-    ->Args({8, 1})
+    ->Arg(1)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   const PatternSet set =
       PatternSet::compile({"ERROR", "timeout", "oom-kill"}, {.threads = 0});
   Stopwatch clock;
-  const QueryResult report = set.find(log, {.chunks = 32, .convergence = true});
+  const QueryResult report = set.find(log, {.chunks = 32});
   std::printf("%llu hits in %.2f ms (%llu transitions)\n\n",
               static_cast<unsigned long long>(report.matches), clock.millis(),
               static_cast<unsigned long long>(report.transitions));

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // 3. Count occurrences (overlaps included) — any bytes may surround them.
   const QueryResult counted =
-      engine.count("??" + text + "--" + text, {.chunks = 8, .convergence = true});
+      engine.count("??" + text + "--" + text, {.chunks = 8});
   std::printf("\ncount : %llu occurrences of the pattern in text+noise\n",
               static_cast<unsigned long long>(counted.matches));
 

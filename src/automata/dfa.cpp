@@ -22,10 +22,7 @@ State Dfa::add_state(bool is_final) {
   packed_.reset();
   const State state = num_states();
   table_.insert(table_.end(), static_cast<std::size_t>(num_symbols_), kDeadState);
-  Bitset grown(static_cast<std::size_t>(state) + 1);
-  for (std::size_t i = finals_.first(); i != Bitset::npos; i = finals_.next(i))
-    grown.set(i);
-  finals_ = std::move(grown);
+  finals_.grow(static_cast<std::size_t>(state) + 1);
   if (is_final) finals_.set(static_cast<std::size_t>(state));
   return state;
 }

@@ -1,5 +1,6 @@
 #include "engine/device.hpp"
 
+#include "parallel/match_count.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace rispar {
@@ -7,7 +8,7 @@ namespace rispar {
 void Device::stream_feed(StreamCarry& carry, std::span<const Symbol> window,
                          ThreadPool& pool, const QueryOptions& options,
                          const QueryGovernor* governor) const {
-  validate_query(options, stream_capabilities(), device_context("stream", variant()));
+  validate_query(options, kStreamCaps, device_context("stream", variant()));
   if (governor != nullptr) {
     stream_window(carry, window, pool, options, governor->active() ? governor : nullptr);
     return;

@@ -16,8 +16,9 @@
 //    independent Σ*p searcher in MultiStreamSession (engine/engine.hpp),
 //    which a positions StreamSession holds beside its decision carry.
 //
-// capabilities() declares which QueryOptions knobs the device honors;
-// validate_query() rejects anything beyond that set.
+// Every device honors the same knobs — kRecognizeCaps one-shot and
+// kStreamCaps streaming (parallel/match_count.hpp); validate_query()
+// rejects anything beyond that set.
 #pragma once
 
 #include <span>
@@ -47,29 +48,10 @@ class Device {
   virtual ~Device() = default;
 
   virtual Variant variant() const = 0;
-  virtual DeviceCaps capabilities() const = 0;
-
-  /// What the device honors in streaming mode: its one-shot capabilities
-  /// minus look-back and tree-join (there is no look-back window across
-  /// the carry and the join is serial per window), plus `positions` —
-  /// every shipped device serves streaming find, because the emission
-  /// rides the variant-independent Σ*p searcher alongside the decision
-  /// carry. A device that cannot (or a future decision-only one) overrides
-  /// this and positions sessions REJECT at Engine::stream. stream_feed
-  /// validates against this set, so direct device callers and
-  /// Engine::stream get the same reject-don't-ignore contract.
-  virtual DeviceCaps stream_capabilities() const {
-    DeviceCaps caps = capabilities();
-    caps.lookback = false;
-    caps.tree_join = false;
-    caps.positions = true;
-    caps.exact_begins = true;  // rides the searcher/reverse pair, like positions
-    return caps;
-  }
 
   /// Parallel recognition of `input` (reach on the pool + join).
   /// Throws QueryError when `options` requests a knob outside
-  /// capabilities(); Engine validates too, so direct callers and Engine
+  /// kRecognizeCaps; Engine validates too, so direct callers and Engine
   /// users get the same contract.
   virtual QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                                 const QueryOptions& options) const = 0;
@@ -81,8 +63,9 @@ class Device {
 
   /// Consumes the next window of a streamed input, updating `carry` in
   /// place (empty windows are a no-op). Streaming runs the same chunk
-  /// walker as recognize; lookback/tree_join are not available in
-  /// streaming mode (Engine::stream rejects them).
+  /// walker as recognize and validates against kStreamCaps, so direct
+  /// device callers and Engine::stream get the same reject-don't-ignore
+  /// contract.
   ///
   /// Governance is PER FEED: `governor` is the caller's per-feed governor
   /// (a positions StreamSession shares one between this decision window

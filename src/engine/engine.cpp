@@ -97,8 +97,7 @@ std::vector<Match> Engine::find_all(std::string_view text,
 StreamSession Engine::stream(const QueryOptions& options) const {
   const Device& dev = device(options.variant);
   // Fail at session creation, not at the first feed (which re-validates).
-  validate_query(options, dev.stream_capabilities(),
-                 device_context("stream", options.variant));
+  validate_query(options, kStreamCaps, device_context("stream", options.variant));
   // Positions sessions pay the lazy searcher build here, at open — never
   // inside the first feed on the hot path (and under this Engine's
   // subset_budget, so a blow-up pattern trips ResourceExhausted at open).
@@ -123,8 +122,7 @@ std::vector<QueryResult> Engine::match_all(std::span<const std::string_view> tex
                                            const QueryOptions& options) const {
   const Device& dev = device(options.variant);
   // Fail before any text is scanned; per-text recognize re-validates.
-  validate_query(options, dev.capabilities(),
-                 device_context("match_all", options.variant));
+  validate_query(options, kRecognizeCaps, device_context("match_all", options.variant));
   std::vector<QueryResult> results(texts.size());
   // One task per text; per-text chunk runs nest on the same pool and
   // execute inline (ThreadPool reentrancy), so the sharding unit is the
@@ -141,10 +139,15 @@ std::vector<QueryResult> Engine::match_all(std::span<const std::string_view> tex
   return results;
 }
 
-bool Engine::accepts(std::span<const Symbol> input) const {
-  const Dfa& dfa = pattern_.min_dfa();
+namespace {
+
+// The serial oracle run over the minimal DFA, one symbol at a time:
+// rejects as soon as a symbol is outside the alphabet or the run dies.
+template <typename Input, typename ToSymbol>
+bool serial_accepts(const Dfa& dfa, const Input& input, ToSymbol to_symbol) {
   State state = dfa.initial();
-  for (const Symbol symbol : input) {
+  for (const auto unit : input) {
+    const Symbol symbol = to_symbol(unit);
     if (symbol < 0 || symbol >= dfa.num_symbols()) return false;
     state = dfa.step(state, symbol);
     if (state == kDeadState) return false;
@@ -152,8 +155,18 @@ bool Engine::accepts(std::span<const Symbol> input) const {
   return dfa.is_final(state);
 }
 
+}  // namespace
+
+bool Engine::accepts(std::span<const Symbol> input) const {
+  return serial_accepts(pattern_.min_dfa(), input, [](Symbol symbol) { return symbol; });
+}
+
 bool Engine::accepts(std::string_view text) const {
-  return accepts(pattern_.translate(text));
+  // Bytes go through the pattern's map one at a time — no symbol vector.
+  const SymbolMap& map = pattern_.symbols();
+  return serial_accepts(pattern_.min_dfa(), text, [&](char byte) {
+    return map.symbol_of(static_cast<unsigned char>(byte));
+  });
 }
 
 // ------------------------------------------------------------ StreamSession

@@ -106,8 +106,8 @@ class Engine {
 
   /// Occurrences of the pattern in `text` (prefixes ending a match, overlaps
   /// counted) via the lazily built Σ*p searcher. Counting has exactly one
-  /// deterministic device, so options.variant is not consulted; chunks and
-  /// convergence are honored, anything else raises QueryError. Byte-level
+  /// deterministic device, so options.variant is not consulted; chunks are
+  /// honored, anything else raises QueryError. Byte-level
   /// only: the searcher runs on its own all-bytes SymbolMap, NOT the
   /// pattern's, so symbols from translate() would be misinterpreted —
   /// callers holding pre-translated searcher symbols use
@@ -118,8 +118,8 @@ class Engine {
   /// ending an occurrence, overlaps counted — find(t).matches always equals
   /// count(t).matches, and Match semantics are documented in query.hpp).
   /// Runs the position-emitting parallel kernel over the same Σ*p searcher
-  /// as count(): options.variant is not consulted; chunks, convergence,
-  /// begin_mode and offset/limit paging are honored, anything else raises
+  /// as count(): options.variant is not consulted; chunks, begin_mode and
+  /// offset/limit paging are honored, anything else raises
   /// QueryError. Offsets in the returned Match records are byte offsets
   /// into `text`.
   QueryResult find(std::string_view text, const QueryOptions& options = {}) const;

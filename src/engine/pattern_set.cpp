@@ -12,7 +12,7 @@ namespace {
 
 constexpr const char* kPatternSetContext =
     "PatternSet::find (the position-emitting counting kernel per pattern; "
-    "it honors chunks, convergence, begin_mode and offset/limit)";
+    "it honors chunks, begin_mode and offset/limit)";
 
 /// Merges the N per-pattern scans of one text into one QueryResult:
 /// positions ascending by (end, begin, pattern_id) — unique, since each

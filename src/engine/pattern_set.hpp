@@ -71,7 +71,7 @@ class PatternSet {
   /// (end, begin, pattern_id) and windowed by options.offset/limit;
   /// `matches` totals all patterns' occurrences (equal to the sum of N
   /// independent Engine::find runs, property-tested). Honors chunks,
-  /// convergence, begin_mode and paging; anything else raises QueryError.
+  /// begin_mode and paging; anything else raises QueryError.
   /// `transitions`/`matches` sum over the patterns' scans; `reach_seconds`/
   /// `join_seconds`/`chunks` report the maximum, since the scans overlap on
   /// the pool. `died` is true when any pattern's consistent run died.
@@ -89,8 +89,8 @@ class PatternSet {
 
   /// Opens a multi-pattern streaming-find session: ONE byte feed advances
   /// every pattern's searcher carry and emits the merged tagged match
-  /// stream (see MultiStreamSession in engine/engine.hpp). Honors chunks,
-  /// convergence and begin_mode; anything else raises QueryError at open.
+  /// stream (see MultiStreamSession in engine/engine.hpp). Honors chunks
+  /// and begin_mode; anything else raises QueryError at open.
   /// The session borrows this set's pool — it must not outlive the
   /// PatternSet.
   MultiStreamSession stream_find(const QueryOptions& options = {}) const;

@@ -25,9 +25,6 @@ void validate_query(const QueryOptions& options, const DeviceCaps& caps,
   const auto reject = [&](const char* knob) {
     throw ValidationError(context + " cannot honor '" + knob + "'");
   };
-  if (options.convergence && !caps.convergence) reject("convergence");
-  if (options.lookback > 0 && !caps.lookback) reject("lookback");
-  if (options.tree_join && !caps.tree_join) reject("tree_join");
   if ((options.offset != 0 || options.limit != QueryOptions::kNoLimit) && !caps.paging)
     reject("offset/limit");
   if (options.positions && !caps.positions) reject("positions");

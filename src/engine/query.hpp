@@ -5,11 +5,13 @@
 //
 //  * Variant   — which chunk automaton answers the query (the paper's three
 //    schemes plus the speculation-free SFA comparator [25]);
-//  * QueryOptions — the single knob struct, absorbing what used to be split
-//    between DeviceOptions (chunks, lookback, tree_join) and DetChunkOptions
-//    (convergence). A device that cannot honor a requested knob
-//    REJECTS the query with QueryError instead of silently ignoring it —
-//    capabilities() says up front what each device honors;
+//  * QueryOptions — the single knob struct. Only choices the caller must
+//    make live here (variant, fan-out, paging, positions, begin mode,
+//    governance); how the chunk walker converges runs is the system's
+//    choice, fixed per query shape. A query shape that cannot honor a
+//    requested knob REJECTS the query with QueryError instead of silently
+//    ignoring it — its DeviceCaps (parallel/match_count.hpp) say up front
+//    what it honors;
 //  * QueryResult — the unified structured result (decision, occurrence
 //    count, transition accounting, per-phase wall times).
 #pragma once
@@ -46,9 +48,6 @@ const char* variant_name(Variant variant);
 /// What a device can honor. Anything requested beyond this set raises
 /// QueryError during validation — never a silent ignore.
 struct DeviceCaps {
-  bool convergence = false;   ///< run-convergence in the chunk walker
-  bool lookback = false;      ///< look-back start pruning (Sect. 5 / [28])
-  bool tree_join = false;     ///< parallel tree-reduction join
   bool paging = false;        ///< offset/limit on the positions payload
   bool positions = false;     ///< Match emission (find payloads, streaming find)
   bool exact_begins = false;  ///< BeginMode::kExact (reverse-DFA confirmation)
@@ -113,21 +112,6 @@ struct QueryOptions {
   /// Requested chunk count c; clamped to the input length. c <= 1 means
   /// serial execution (single chunk, no speculation).
   std::size_t chunks = 1;
-  /// Run-convergence optimization in the chunk walker (ablation).
-  bool convergence = false;
-  /// Look-back state speculation (paper Sect. 5, Yang & Prasanna [28]
-  /// flavour), DFA device only: before the speculative runs of chunk i>=2,
-  /// all starts are advanced over the `lookback` symbols preceding the
-  /// chunk boundary; only the (deduplicated) survivors start real runs.
-  /// Sound because the true boundary state is the image of *some* state
-  /// over that window. 0 disables.
-  std::size_t lookback = 0;
-  /// Parallel tree-reduction join (DFA device only): chunk mappings are
-  /// total functions Q → Q ∪ {dead}, whose composition is associative, so
-  /// the join can reduce pairwise on the pool in O(log c) rounds instead of
-  /// serially. The paper keeps the join serial because it is <1% of the
-  /// time (Sect. 4.4) — this mode exists to *measure* that claim.
-  bool tree_join = false;
   /// Paging of the positions payload (find/find_all only — other query
   /// shapes REJECT a non-default offset/limit): skip the first `offset`
   /// matches and materialize at most `limit` of the rest. QueryResult's

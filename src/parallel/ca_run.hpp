@@ -37,10 +37,13 @@
 // implementations kept as run_chunk_det_reference, the property-test
 // oracle.
 //
-// Run convergence itself (merging runs that land in the same state at the
-// same position — the Mytkowicz-style optimization the paper lists as
-// compatible, Sect. 5) remains OFF by default: the paper's baselines
-// execute the |I| runs independently.
+// Run convergence (merging runs that land in the same state at the same
+// position — the Mytkowicz-style optimization the paper lists as
+// compatible, Sect. 5) is a kernel-level option, fixed per query shape by
+// its caller, never by the query: recognize walks independently, as the
+// paper's baselines execute the |I| runs (and independent RID walking is
+// the faster of the two, docs/perf.md); counting and finding always
+// converge (parallel/match_count.hpp).
 #pragma once
 
 #include <cstdint>

@@ -328,10 +328,10 @@ WalkForest walk_chunk(const Dfa& dfa, const Source& chunk,
 }
 
 /// The one look-back probe (Yang & Prasanna [28], the paper's Sect. 5), for
-/// count and find chunks after the first and the DFA device's `lookback`:
-/// advances every state of `dfa` over the `lookback` symbols before
-/// text[boundary] (fewer near the text start) in one convergent walk and
-/// returns the distinct live end states, ascending; the probe's transitions
+/// count and find chunks after the first: advances every state of `dfa`
+/// over the `lookback` symbols before text[boundary] (fewer near the text
+/// start) in one convergent walk and returns the distinct live end states,
+/// ascending; the probe's transitions
 /// are added to `transitions` (speculative work, parallel/ca_run.hpp). The
 /// serial run crosses the same symbols, so whenever it is alive at the
 /// boundary its state is among the seeds: seeding a chunk from them never

@@ -2,8 +2,8 @@
 
 #include <cassert>
 
-#include "parallel/chunk_walker.hpp"
 #include "parallel/chunking.hpp"
+#include "parallel/match_count.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rispar {
@@ -15,10 +15,6 @@ QueryResult empty_input_result(bool initial_is_final) {
   QueryResult stats;
   stats.accepted = initial_is_final;
   return stats;
-}
-
-DetChunkOptions walk_options(const QueryOptions& options, const QueryGovernor* governor) {
-  return DetChunkOptions{.convergence = options.convergence, .governor = governor};
 }
 
 // Per-query governor shared by every chunk task of a recognize() call.
@@ -116,7 +112,7 @@ QueryResult DfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
 template <typename Source>
 QueryResult DfaDevice::recognize_source(const Source& input, ThreadPool& pool,
                                         const QueryOptions& options) const {
-  validate_query(options, capabilities(), device_context("recognize", variant()));
+  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(dfa_.is_final(dfa_.initial()));
 
   const auto chunks = split_chunks(input.size(), options.chunks);
@@ -128,74 +124,22 @@ QueryResult DfaDevice::recognize_source(const Source& input, ThreadPool& pool,
   const std::vector<State> first_start{dfa_.initial()};
   const QueryGovernor own(options.deadline, options.cancel);
   const QueryGovernor* gov = normalize(own);
-  const DetChunkOptions run_options = walk_options(options, gov);
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    if (i == 0) {
-      // Chunk 1 knows its start.
-      results[i] = run_chunk_det(dfa_, span, first_start, run_options);
-      return;
-    }
-    if (options.lookback == 0) {
-      // Classic CSDPA: speculate on all of Q.
-      results[i] = run_chunk_det(dfa_, span, all_states_, run_options);
-      return;
-    }
-    // Look-back: speculate only from the states the `lookback` symbols
-    // before the boundary leave possible (the probe shared with count and
-    // find, parallel/chunk_walker.hpp). The probe work is real speculative
-    // overhead (accounting convention: parallel/ca_run.hpp).
-    std::uint64_t probe = 0;
-    const std::vector<State> seeds =
-        lookback_seeds(dfa_, input, chunks[i].begin, options.lookback, probe, gov);
-    results[i] = run_chunk_det(dfa_, span, seeds, run_options);
-    results[i].transitions += probe;
+    // Classic CSDPA: chunk 1 knows its start, the rest speculate on all of Q.
+    const std::vector<State>& starts = i == 0 ? first_start : all_states_;
+    results[i] = run_chunk_det(dfa_, span, starts, {.governor = gov});
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 
   Stopwatch join_clock;
-  for (const auto& chunk_result : results) stats.transitions += chunk_result.transitions;
-
-  if (options.tree_join) {
-    // Each λ_i as a dense function Q → Q ∪ {dead}; compose pairwise.
-    const auto n = static_cast<std::size_t>(dfa_.num_states());
-    std::vector<std::vector<State>> maps(results.size());
-    pool.run(results.size(), [&](std::size_t i) {
-      if (gov != nullptr) gov->poll();
-      maps[i].assign(n, kDeadState);
-      for (const auto& [start, end] : results[i].lambda)
-        maps[i][static_cast<std::size_t>(start)] = end;
-    }, gov);
-    while (maps.size() > 1) {
-      const std::size_t pairs = maps.size() / 2;
-      std::vector<std::vector<State>> folded(pairs + (maps.size() % 2));
-      pool.run(pairs, [&](std::size_t p) {
-        if (gov != nullptr) gov->poll();
-        const auto& first = maps[2 * p];
-        const auto& second = maps[2 * p + 1];
-        auto& out = folded[p];
-        out.assign(n, kDeadState);
-        for (std::size_t q = 0; q < n; ++q) {
-          const State mid = first[q];
-          out[q] = mid == kDeadState ? kDeadState
-                                     : second[static_cast<std::size_t>(mid)];
-        }
-      }, gov);
-      if (maps.size() % 2) folded.back() = std::move(maps.back());
-      maps = std::move(folded);
-    }
-    const State end = maps.front()[static_cast<std::size_t>(dfa_.initial())];
-    stats.accepted = end != kDeadState && dfa_.is_final(end);
-    stats.join_seconds = join_clock.seconds();
-    return stats;
-  }
-
-  // Serial join (the paper's): PLAS as a bitset over DFA states; λ_i
-  // entries filter-and-map it.
+  // The paper's serial join: PLAS as a bitset over DFA states; λ_i entries
+  // filter-and-map it.
   Bitset plas(static_cast<std::size_t>(dfa_.num_states()));
   bool first_chunk = true;
   for (const auto& chunk_result : results) {
+    stats.transitions += chunk_result.transitions;
     Bitset next(static_cast<std::size_t>(dfa_.num_states()));
     for (const auto& [start, end] : chunk_result.lambda) {
       if (first_chunk || plas.test(static_cast<std::size_t>(start)))
@@ -216,11 +160,10 @@ void DfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window
 
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{dfa_.initial()} : carry.states;
-  const DetChunkOptions run_options = walk_options(options, governor);
   const auto results = run_window_chunks<DetChunkResult>(
       window, pool, options.chunks, continuation, all_states_, governor,
       [&](std::span<const Symbol> span, std::span<const State> starts, bool) {
-        return run_chunk_det(dfa_, span, starts, run_options);
+        return run_chunk_det(dfa_, span, starts, {.governor = governor});
       });
   join_window_into_carry(carry, results, dfa_.num_states(),
                          [](Bitset& next, const std::pair<State, State>& entry) {
@@ -256,7 +199,7 @@ QueryResult NfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
 template <typename Source>
 QueryResult NfaDevice::recognize_source(const Source& input, ThreadPool& pool,
                                         const QueryOptions& options) const {
-  validate_query(options, capabilities(), device_context("recognize", variant()));
+  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(nfa_.is_final(nfa_.initial()));
 
   const auto chunks = split_chunks(input.size(), options.chunks);
@@ -347,7 +290,7 @@ QueryResult RidDevice::recognize(const MappedBytes& text, ThreadPool& pool,
 template <typename Source>
 QueryResult RidDevice::recognize_source(const Source& input, ThreadPool& pool,
                                         const QueryOptions& options) const {
-  validate_query(options, capabilities(), device_context("recognize", variant()));
+  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
   const Dfa& ca = ridfa_.dfa();
   if (input.empty()) return empty_input_result(ridfa_.is_final(ridfa_.start_state()));
 
@@ -360,7 +303,6 @@ QueryResult RidDevice::recognize_source(const Source& input, ThreadPool& pool,
   const std::vector<State> first_start{ridfa_.start_state()};
   const QueryGovernor own(options.deadline, options.cancel);
   const QueryGovernor* gov = normalize(own);
-  const DetChunkOptions run_options = walk_options(options, gov);
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
@@ -369,7 +311,7 @@ QueryResult RidDevice::recognize_source(const Source& input, ThreadPool& pool,
     const std::span<const State> starts =
         (i == 0) ? std::span<const State>(first_start)
                  : std::span<const State>(ridfa_.initial_states());
-    results[i] = run_chunk_det(ca, span, starts, run_options);
+    results[i] = run_chunk_det(ca, span, starts, {.governor = gov});
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 
@@ -418,11 +360,10 @@ void RidDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{ridfa_.start_state()}
                      : ridfa_.interface_image(carry.states);
-  const DetChunkOptions run_options = walk_options(options, governor);
   const auto results = run_window_chunks<DetChunkResult>(
       window, pool, options.chunks, continuation, ridfa_.initial_states(), governor,
       [&](std::span<const Symbol> span, std::span<const State> starts, bool) {
-        return run_chunk_det(ca, span, starts, run_options);
+        return run_chunk_det(ca, span, starts, {.governor = governor});
       });
 
   // Join within the window. The first chunk's survivors are kept verbatim
@@ -495,7 +436,7 @@ QueryResult SfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
 template <typename Source>
 QueryResult SfaDevice::recognize_source(const Source& input, ThreadPool& pool,
                                         const QueryOptions& options) const {
-  validate_query(options, capabilities(), device_context("recognize", variant()));
+  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(ca_.is_final(ca_.initial()));
 
   const auto chunks = split_chunks(input.size(), options.chunks);

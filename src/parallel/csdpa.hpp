@@ -45,9 +45,6 @@ class DfaDevice : public Device {
   explicit DfaDevice(const Dfa& dfa);
 
   Variant variant() const override { return Variant::kDfa; }
-  DeviceCaps capabilities() const override {
-    return {.convergence = true, .lookback = true, .tree_join = true};
-  }
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
@@ -75,7 +72,6 @@ class NfaDevice : public Device {
   explicit NfaDevice(const Nfa& nfa);
 
   Variant variant() const override { return Variant::kNfa; }
-  DeviceCaps capabilities() const override { return {}; }
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
@@ -102,9 +98,6 @@ class RidDevice : public Device {
   explicit RidDevice(const Ridfa& ridfa);
 
   Variant variant() const override { return Variant::kRid; }
-  DeviceCaps capabilities() const override {
-    return {.convergence = true};
-  }
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
@@ -136,7 +129,6 @@ class SfaDevice : public Device {
   SfaDevice(const Sfa& sfa, const Dfa& chunk_automaton);
 
   Variant variant() const override { return Variant::kSfa; }
-  DeviceCaps capabilities() const override { return {}; }
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;

@@ -122,16 +122,17 @@ struct ChunkRun {
   Record record;
 };
 
-/// The reach phase counting and finding share: one walk per chunk of
-/// `text` (a walk_chunk source) on the pool. The first chunk runs from
-/// `first` alone, every later one from the look-back seeds of its boundary
-/// (chunk_walker.hpp), whose probe transitions count as the chunk's
-/// speculative work (convention: parallel/ca_run.hpp).
+/// The reach phase counting and finding share: one convergent walk per
+/// chunk of `text` (a walk_chunk source) on the pool. The first chunk runs
+/// from `first` alone, every later one from the look-back seeds of its
+/// boundary (chunk_walker.hpp), whose probe transitions count as the
+/// chunk's speculative work (convention: parallel/ca_run.hpp). The walk
+/// always converges: merged runs share every later hit, and the find rows
+/// hold against independent walking (docs/perf.md).
 template <typename Record, typename Source>
 std::vector<ChunkRun<Record>> reach(const Dfa& dfa, const Source& text,
                                     std::span<const ChunkSpan> chunks, State first,
-                                    bool convergence, ThreadPool& pool,
-                                    const QueryGovernor* gov) {
+                                    ThreadPool& pool, const QueryGovernor* gov) {
   const std::vector<std::uint8_t> flags = state_flags(dfa);
   std::vector<ChunkRun<Record>> runs(chunks.size());
   pool.run(chunks.size(), [&](std::size_t i) {
@@ -144,7 +145,7 @@ std::vector<ChunkRun<Record>> reach(const Dfa& dfa, const Source& text,
                                          std::min(kBoundaryProbe, chunk.length), probe, gov);
     run.record.reset(flags.data(), run.starts);
     run.forest = walk_chunk(dfa, text.subspan(chunk.begin, chunk.length), run.starts,
-                            convergence, run.record, gov);
+                            /*convergence=*/true, run.record, gov);
     run.forest.transitions += probe;
   });
   return runs;
@@ -294,8 +295,7 @@ QueryResult count_source(const Dfa& dfa, const Source& input, ThreadPool& pool,
   result.chunks = chunks.size();
 
   Stopwatch reach_clock;
-  const auto runs = reach<CountRecord>(dfa, input, chunks, dfa.initial(),
-                                       options.convergence, pool, gov);
+  const auto runs = reach<CountRecord>(dfa, input, chunks, dfa.initial(), pool, gov);
   result.reach_seconds = reach_clock.seconds();
 
   // Join: walk the unique consistent path and sum the counters up each
@@ -385,8 +385,7 @@ QueryResult find_source(const Dfa& dfa, const Source& input, ThreadPool& pool,
   result.chunks = chunks.size();
 
   Stopwatch reach_clock;
-  const auto runs = reach<FindRecord>(dfa, input, chunks, dfa.initial(),
-                                      options.convergence, pool, gov);
+  const auto runs = reach<FindRecord>(dfa, input, chunks, dfa.initial(), pool, gov);
   result.reach_seconds = reach_clock.seconds();
 
   // Join: walk the unique consistent path, resolving each hit's begin
@@ -470,8 +469,7 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
   // Reach: exactly the one-shot fan-out, except the window's first chunk
   // continues from the CARRIED state instead of the initial one.
   const auto chunks = split_chunks(window.size(), options.chunks);
-  const auto runs = reach<FindRecord>(dfa, window, chunks, carry.state,
-                                      options.convergence, pool, gov);
+  const auto runs = reach<FindRecord>(dfa, window, chunks, carry.state, pool, gov);
 
   // Join, serialized per window: the carried (state, last separator) enter
   // the walk and leave updated for the next window; hits emit through the

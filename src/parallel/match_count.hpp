@@ -18,12 +18,12 @@
 //
 // Each chunk run is the chunk walker (parallel/chunk_walker.hpp) — the one
 // template body recognize runs too — with a hit-counting recorder.
-// Counting takes the unified QueryOptions: `chunks` as everywhere, and
-// `convergence` merges runs that land in the same state at the same
-// position: they share all future hits, so merged runs execute (and count)
-// as one from the merge point on, and the join sums the consistent start's
-// hits up its merge chain. Knobs counting cannot honor (lookback,
-// tree_join) raise QueryError. Transition accounting follows the
+// Counting takes the unified QueryOptions (`chunks` as everywhere). The
+// walk always converges: runs that land in the same state at the same
+// position share all future hits, so merged runs execute (and count) as
+// one from the merge point on, and the join sums the consistent start's
+// hits up its merge chain. Knobs counting cannot honor (paging, positions,
+// exact begins) raise QueryError. Transition accounting follows the
 // convention of parallel/ca_run.hpp.
 //
 // ## Finding (positions, not just totals)
@@ -39,12 +39,11 @@
 // still counting every occurrence in `matches`.
 //
 // Finding runs the same walker with a recorder that keeps, per hit, the
-// end position and the run's last separator. `convergence` shares hit
+// end position and the run's last separator. Convergence shares hit
 // LISTS through the merge forest (per-start lists reconstructed lazily,
 // only for the one consistent start per chunk, at join time), and the join
 // walks the same merge chains as counting — with find_matches_serial as
-// the one-scan oracle above it (property-tested equal with convergence on
-// and off).
+// the one-scan oracle above it (property-tested equal).
 #pragma once
 
 #include <cstdint>
@@ -57,13 +56,22 @@
 
 namespace rispar {
 
+/// What every recognition device honors one-shot (recognize, match_all):
+/// the universal knobs only — chunks, variant and governance.
+inline constexpr DeviceCaps kRecognizeCaps{};
+
+/// What every device honors in streaming mode: positions and exact begins
+/// on top of the universal knobs, because streaming find rides the
+/// variant-independent Σ*p searcher/reverse pair alongside the decision
+/// carry. No paging (see kStreamFindingCaps).
+inline constexpr DeviceCaps kStreamCaps{.positions = true, .exact_begins = true};
+
 /// What counting honors of the unified options, and the validate_query
 /// context naming it — shared with Engine::count so it can reject a bad
 /// query up front, before the searcher build and text translation.
-inline constexpr DeviceCaps kCountingCaps{.convergence = true};
+inline constexpr DeviceCaps kCountingCaps{};
 inline constexpr const char* kCountingContext =
-    "count (the one deterministic counting kernel; it honors chunks and "
-    "convergence)";
+    "count (the one deterministic counting kernel; it honors chunks)";
 
 /// Serial reference: one scan, counting final-state positions. The empty
 /// prefix is not counted (an occurrence needs at least the position after
@@ -72,8 +80,8 @@ inline constexpr const char* kCountingContext =
 QueryResult count_matches_serial(const Dfa& dfa, std::span<const Symbol> input);
 
 /// Parallel counting over options.chunks chunks on the pool; equals the
-/// serial count on every input, with convergence on or off
-/// (property-tested). Throws QueryError for knobs counting cannot honor.
+/// serial count on every input (property-tested). Throws QueryError for
+/// knobs counting cannot honor.
 /// `governor` overrides the one built from options.deadline/cancel (a
 /// streaming device passes its per-feed governor so the whole feed shares
 /// one clock); null = build from the options.
@@ -87,16 +95,15 @@ QueryResult count_matches(const Dfa& dfa, std::string_view text, ThreadPool& poo
                           const QueryOptions& options,
                           const QueryGovernor* governor = nullptr);
 
-/// What finding honors of the unified options (chunks, convergence,
-/// begin_mode, offset/limit paging) — shared with Engine::find / PatternSet so they can
+/// What finding honors of the unified options (chunks, begin_mode,
+/// offset/limit paging) — shared with Engine::find / PatternSet so they can
 /// reject a bad query before the searcher build and text translation.
-inline constexpr DeviceCaps kFindingCaps{.convergence = true,
-                                         .paging = true,
+inline constexpr DeviceCaps kFindingCaps{.paging = true,
                                          .positions = true,
                                          .exact_begins = true};
 inline constexpr const char* kFindingContext =
     "find (the position-emitting counting kernel; it honors chunks, "
-    "convergence, begin_mode and offset/limit)";
+    "begin_mode and offset/limit)";
 
 /// Serial reference oracle for finding: one scan of `input` emitting a
 /// Match per final-state position (begin = the scan's last separator; see
@@ -110,8 +117,8 @@ QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
                                 const Dfa* exact_reverse = nullptr);
 
 /// Parallel position finding over options.chunks chunks on the pool; the
-/// positions equal the serial oracle's on every input, with convergence on
-/// or off (property-tested), then windowed by
+/// positions equal the serial oracle's on every input (property-tested),
+/// then windowed by
 /// options.offset/limit (`matches` still counts all). Throws QueryError for
 /// knobs finding cannot honor. Every emitted Match carries `pattern_id`.
 /// Under options.begin_mode == BeginMode::kExact, `reverse` (the pattern's
@@ -173,15 +180,13 @@ void encode_find_carry(const FindCarry& carry, std::string& out);
 /// a typed error, never as an inconsistent session.
 FindCarry decode_find_carry(std::string_view image, std::size_t& pos);
 
-/// What streaming find honors (chunks, convergence, begin_mode — no paging: an
+/// What streaming find honors (chunks, begin_mode — no paging: an
 /// unbounded stream has no total to page against, so offset/limit REJECT),
 /// and the validate_query context naming it.
-inline constexpr DeviceCaps kStreamFindingCaps{.convergence = true,
-                                               .positions = true,
-                                               .exact_begins = true};
+inline constexpr DeviceCaps kStreamFindingCaps{.positions = true, .exact_begins = true};
 inline constexpr const char* kStreamFindingContext =
     "streaming find (the window-fed position-emitting kernel; it honors "
-    "chunks, convergence and begin_mode)";
+    "chunks and begin_mode)";
 
 /// Consumes one window of a streamed input on the Σ*p searcher `dfa`,
 /// updating `carry` in place and emitting every occurrence ending inside

@@ -1,5 +1,6 @@
 #include "util/bitset.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -22,6 +23,14 @@ std::size_t Bitset::count() const {
 
 void Bitset::clear() {
   for (auto& word : words_) word = 0;
+}
+
+void Bitset::grow(std::size_t universe) {
+  assert(universe >= universe_);
+  universe_ = universe;
+  const std::size_t words = (universe + 63) / 64;
+  if (words > words_.capacity()) words_.reserve(std::max(words, 2 * words_.capacity()));
+  words_.resize(words, 0);
 }
 
 Bitset& Bitset::operator|=(const Bitset& other) {

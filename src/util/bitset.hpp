@@ -29,6 +29,10 @@ class Bitset {
   void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
   void reset(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
   void clear();
+  /// Widens the universe to `universe` (>= the current one), keeping every
+  /// bit; the word storage grows geometrically, so repeated one-element
+  /// growth is amortized O(1).
+  void grow(std::size_t universe);
 
   /// Set-algebraic updates; all operands must share the same universe.
   Bitset& operator|=(const Bitset& other);

@@ -2,7 +2,7 @@
 // SymbolMap (MappedBytes, the string_view overloads) against its twin over
 // the translated symbols — bit-identical decisions, transition counts,
 // death flags, λ and positions — and against the serial oracles. The
-// sweeps cover chunks 1-8, convergence on and off, u8/u16/i32 tables, and
+// sweeps cover chunks 1-8, both walker modes, u8/u16/i32 tables, and
 // unmapped bytes at 0, 511, 512, 1023, 1024, at every chunk boundary and
 // as the last byte: the walker's block edges, band switches and the lone
 // run's inline check all meet an alien byte somewhere.
@@ -78,10 +78,9 @@ void expect_same(const QueryResult& bytes, const QueryResult& symbols) {
 /// picks the packed width: 200 → u8, 1000 → u16, 70000 → i32.
 Dfa ladder(std::int32_t num_states) {
   Dfa dfa = Dfa::with_identity_alphabet(3);
-  for (std::int32_t s = 0; s < num_states; ++s) dfa.add_state(false);
+  for (std::int32_t s = 0; s < num_states; ++s) dfa.add_state(s % 3 == 0);
   dfa.set_initial(num_states - 1);
   for (std::int32_t s = 0; s < num_states; ++s) {
-    dfa.set_final(s, s % 3 == 0);
     dfa.set_transition(s, 0, s);
     dfa.set_transition(s, 1, s > 0 ? s - 1 : num_states - 1);
     dfa.set_transition(s, 2, s / 2);
@@ -98,6 +97,22 @@ TEST(BytePath, LaddersCoverEveryWidth) {
   EXPECT_EQ(ladders()[0].packed().width(), TableWidth::kU8);
   EXPECT_EQ(ladders()[1].packed().width(), TableWidth::kU16);
   EXPECT_EQ(ladders()[2].packed().width(), TableWidth::kI32);
+}
+
+TEST(BytePath, AddStateFinalsEqualSetFinal) {
+  // add_state grows the finals in place: 70,000 add_state(true) calls build
+  // the same machine as add_state(false) plus set_final afterwards.
+  constexpr std::int32_t kStates = 70000;
+  Dfa grown = Dfa::with_identity_alphabet(2);
+  Dfa marked = Dfa::with_identity_alphabet(2);
+  for (std::int32_t s = 0; s < kStates; ++s) {
+    EXPECT_EQ(grown.add_state(true), s);
+    marked.add_state(false);
+  }
+  for (std::int32_t s = 0; s < kStates; ++s) marked.set_final(s);
+  EXPECT_EQ(grown.finals(), marked.finals());
+  EXPECT_EQ(grown.finals().count(), static_cast<std::size_t>(kStates));
+  EXPECT_EQ(ladders()[2].finals().count(), static_cast<std::size_t>((kStates + 2) / 3));
 }
 
 TEST(BytePath, WalkerMatchesSymbolsInEveryBand) {
@@ -160,20 +175,17 @@ TEST(BytePath, CountAndFindMatchSymbolsOnEveryWidth) {
         const std::vector<Symbol> symbols = dfa.symbols().translate(text);
         const QueryResult count_oracle = count_matches_serial(dfa, symbols);
         const QueryResult find_oracle = find_matches_serial(dfa, symbols);
-        for (const bool convergence : {false, true}) {
-          SCOPED_TRACE(std::to_string(dfa.num_states()) + " chunks=" +
-                       std::to_string(chunks) + " alien@" + std::to_string(at) +
-                       " conv=" + std::to_string(convergence));
-          const QueryOptions options{.chunks = chunks, .convergence = convergence};
-          const QueryResult counted = count_matches(dfa, text, pool, options);
-          expect_same(counted, count_matches(dfa, symbols, pool, options));
-          EXPECT_EQ(counted.matches, count_oracle.matches);
-          EXPECT_EQ(counted.died, count_oracle.died);
-          const QueryResult found = find_matches(dfa, text, pool, options);
-          expect_same(found, find_matches(dfa, symbols, pool, options));
-          EXPECT_EQ(found.positions, find_oracle.positions);
-          EXPECT_EQ(found.died, find_oracle.died);
-        }
+        SCOPED_TRACE(std::to_string(dfa.num_states()) + " chunks=" +
+                     std::to_string(chunks) + " alien@" + std::to_string(at));
+        const QueryOptions options{.chunks = chunks};
+        const QueryResult counted = count_matches(dfa, text, pool, options);
+        expect_same(counted, count_matches(dfa, symbols, pool, options));
+        EXPECT_EQ(counted.matches, count_oracle.matches);
+        EXPECT_EQ(counted.died, count_oracle.died);
+        const QueryResult found = find_matches(dfa, text, pool, options);
+        expect_same(found, find_matches(dfa, symbols, pool, options));
+        EXPECT_EQ(found.positions, find_oracle.positions);
+        EXPECT_EQ(found.died, find_oracle.died);
       }
     }
   }
@@ -219,34 +231,20 @@ TEST(BytePath, RecognizeMatchesSymbolsForEveryVariant) {
     for (const Variant variant : {Variant::kDfa, Variant::kNfa, Variant::kRid,
                                   Variant::kSfa}) {
       if (engine.try_device(variant) == nullptr) continue;  // SFA over budget
-      const DeviceCaps caps = engine.device(variant).capabilities();
       for (std::size_t chunks = 1; chunks <= 8; ++chunks) {
         std::vector<std::size_t> aliens = alien_positions(kLength, chunks);
         aliens.push_back(kLength);  // none
         for (const std::size_t at : aliens) {
+          SCOPED_TRACE(std::string(regex) + " " + variant_name(variant) + " chunks=" +
+                       std::to_string(chunks) + " alien@" + std::to_string(at));
           const std::string text = planted(base, at);
           const std::vector<Symbol> symbols = engine.translate(text);
-          std::vector<QueryOptions> shapes;
-          for (const bool convergence : {false, true})
-            if (!convergence || caps.convergence)
-              shapes.push_back({.variant = variant, .chunks = chunks,
-                                .convergence = convergence});
-          if (caps.lookback) shapes.push_back({.variant = variant, .chunks = chunks,
-                                               .lookback = 16});
-          if (caps.tree_join) shapes.push_back({.variant = variant, .chunks = chunks,
-                                                .tree_join = true});
-          for (const QueryOptions& options : shapes) {
-            SCOPED_TRACE(std::string(regex) + " " + variant_name(variant) +
-                         " chunks=" + std::to_string(chunks) + " alien@" +
-                         std::to_string(at) + " conv=" +
-                         std::to_string(options.convergence) + " lookback=" +
-                         std::to_string(options.lookback) + " tree=" +
-                         std::to_string(options.tree_join));
-            const QueryResult bytes = engine.recognize(text, options);
-            expect_same(bytes,
-                        engine.recognize(std::span<const Symbol>(symbols), options));
-            EXPECT_EQ(bytes.accepted, engine.accepts(text));
-          }
+          const QueryOptions options{.variant = variant, .chunks = chunks};
+          const QueryResult bytes = engine.recognize(text, options);
+          expect_same(bytes, engine.recognize(std::span<const Symbol>(symbols), options));
+          // The serial oracle walks the bytes one at a time through the map.
+          EXPECT_EQ(engine.accepts(text), engine.accepts(symbols));
+          EXPECT_EQ(bytes.accepted, engine.accepts(text));
         }
       }
     }
@@ -285,22 +283,19 @@ TEST(BytePath, EngineCountAndFindMatchSymbolsAndOracles) {
     const QueryResult exact_oracle =
         find_matches_serial(searcher, symbols, 0, &reverse.dfa);
     for (std::size_t chunks = 1; chunks <= 8; ++chunks) {
-      for (const bool convergence : {false, true}) {
-        SCOPED_TRACE(std::string(regex) + " chunks=" + std::to_string(chunks) +
-                     " conv=" + std::to_string(convergence));
-        QueryOptions options{.chunks = chunks, .convergence = convergence};
-        const QueryResult counted = engine.count(text, options);
-        expect_same(counted, count_matches(searcher, symbols, engine.pool(), options));
-        EXPECT_EQ(counted.matches, count_oracle.matches);
-        const QueryResult found = engine.find(text, options);
-        expect_same(found, find_matches(searcher, symbols, engine.pool(), options));
-        EXPECT_EQ(found.positions, sep_oracle.positions);
-        options.begin_mode = BeginMode::kExact;
-        const QueryResult exact = engine.find(text, options);
-        expect_same(exact, find_matches(searcher, symbols, engine.pool(), options, 0,
-                                        nullptr, &reverse));
-        EXPECT_EQ(exact.positions, exact_oracle.positions);
-      }
+      SCOPED_TRACE(std::string(regex) + " chunks=" + std::to_string(chunks));
+      QueryOptions options{.chunks = chunks};
+      const QueryResult counted = engine.count(text, options);
+      expect_same(counted, count_matches(searcher, symbols, engine.pool(), options));
+      EXPECT_EQ(counted.matches, count_oracle.matches);
+      const QueryResult found = engine.find(text, options);
+      expect_same(found, find_matches(searcher, symbols, engine.pool(), options));
+      EXPECT_EQ(found.positions, sep_oracle.positions);
+      options.begin_mode = BeginMode::kExact;
+      const QueryResult exact = engine.find(text, options);
+      expect_same(exact, find_matches(searcher, symbols, engine.pool(), options, 0,
+                                      nullptr, &reverse));
+      EXPECT_EQ(exact.positions, exact_oracle.positions);
     }
   }
 }
@@ -323,15 +318,10 @@ TEST(BytePath, PatternSetFindMatchesMergedSerialOracles) {
     }
     std::sort(expected.begin(), expected.end());
     for (const std::size_t chunks : {1u, 3u, 8u}) {
-      for (const bool convergence : {false, true}) {
-        SCOPED_TRACE("chunks=" + std::to_string(chunks) + " conv=" +
-                     std::to_string(convergence) + " exact=" +
-                     std::to_string(mode == BeginMode::kExact));
-        EXPECT_EQ(set.find(text, {.chunks = chunks, .convergence = convergence,
-                                  .begin_mode = mode})
-                      .positions,
-                  expected);
-      }
+      SCOPED_TRACE("chunks=" + std::to_string(chunks) + " exact=" +
+                   std::to_string(mode == BeginMode::kExact));
+      EXPECT_EQ(set.find(text, {.chunks = chunks, .begin_mode = mode}).positions,
+                expected);
     }
   }
 }

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "automata/glushkov.hpp"
 #include "automata/minimize.hpp"
 #include "automata/random_nfa.hpp"
 #include "automata/subset.hpp"
 #include "core/interface_min.hpp"
 #include "core/serial_match.hpp"
+#include "parallel/chunk_walker.hpp"
+#include "parallel/chunking.hpp"
 #include "helpers.hpp"
 #include "regex/parser.hpp"
 #include "regex/printer.hpp"
@@ -31,7 +35,7 @@ TEST(Csdpa, EmptyInputDecidedByInitialFinality) {
   ThreadPool pool(2);
   const Engines plus(glushkov_nfa(parse_regex("a+")));
   const Engines star(glushkov_nfa(parse_regex("a*")));
-  const QueryOptions options{.chunks = 4, .convergence = false};
+  const QueryOptions options{.chunks = 4};
   const std::vector<Symbol> empty;
   EXPECT_FALSE(DfaDevice(plus.min_dfa).recognize(empty, pool, options).accepted);
   EXPECT_TRUE(DfaDevice(star.min_dfa).recognize(empty, pool, options).accepted);
@@ -44,7 +48,7 @@ TEST(Csdpa, EmptyInputDecidedByInitialFinality) {
 TEST(Csdpa, ChunkCountClampsToInputLength) {
   ThreadPool pool(4);
   const Engines engines(glushkov_nfa(parse_regex("(ab)*")));
-  const QueryOptions options{.chunks = 64, .convergence = false};
+  const QueryOptions options{.chunks = 64};
   const std::vector<Symbol> input{0, 1};  // "ab"
   const QueryResult stats =
       DfaDevice(engines.min_dfa).recognize(input, pool, options);
@@ -60,7 +64,7 @@ TEST(Csdpa, StatsReportPhases) {
     input.push_back(0);
     input.push_back(1);
   }
-  const QueryOptions options{.chunks = 8, .convergence = false};
+  const QueryOptions options{.chunks = 8};
   const QueryResult stats =
       RidDevice(engines.ridfa).recognize(input, pool, options);
   EXPECT_TRUE(stats.accepted);
@@ -78,7 +82,7 @@ TEST(Csdpa, SerialChunkingMatchesSerialTransitionCount) {
     input.push_back(0);
     input.push_back(1);
   }
-  const QueryOptions serial{.chunks = 1, .convergence = false};
+  const QueryOptions serial{.chunks = 1};
   const QueryResult stats =
       DfaDevice(engines.min_dfa).recognize(input, pool, serial);
   EXPECT_EQ(stats.transitions, input.size());
@@ -92,7 +96,7 @@ TEST(Csdpa, RidNeverDoesMoreTransitionsThanDfaOnWinningFamily) {
   Prng prng(55);
   std::vector<Symbol> input = testing::random_word(prng, 2, 4000);
   input[input.size() - 6] = 0;  // ensure membership
-  const QueryOptions options{.chunks = 16, .convergence = false};
+  const QueryOptions options{.chunks = 16};
   const QueryResult dfa_stats =
       DfaDevice(engines.min_dfa).recognize(input, pool, options);
   const QueryResult rid_stats =
@@ -115,7 +119,7 @@ TEST_P(DeviceAgreement, AllVariantsMatchSerialOracleOnRandomRegexes) {
   const Engines engines(nfa);
 
   for (const std::size_t chunks : {1u, 2u, 3u, 7u}) {
-    const QueryOptions options{.chunks = chunks, .convergence = false};
+    const QueryOptions options{.chunks = chunks};
     for (int trial = 0; trial < 8; ++trial) {
       // Mix positive samples and random noise.
       std::vector<Symbol> input;
@@ -149,20 +153,15 @@ TEST_P(DeviceAgreement, AllVariantsMatchOnRandomNfas) {
   const Engines engines(nfa);
 
   for (const std::size_t chunks : {2u, 5u}) {
-    const QueryOptions plain{.chunks = chunks, .convergence = false};
-    const QueryOptions converging{.chunks = chunks, .convergence = true};
+    const QueryOptions plain{.chunks = chunks};
     for (int trial = 0; trial < 10; ++trial) {
       const auto input = testing::random_word(prng, nfa.num_symbols(),
                                               1 + prng.pick_index(60));
       const bool oracle = serial_match(engines.min_dfa, input).accepted;
       EXPECT_EQ(DfaDevice(engines.min_dfa).recognize(input, pool, plain).accepted,
                 oracle);
-      EXPECT_EQ(DfaDevice(engines.min_dfa).recognize(input, pool, converging).accepted,
-                oracle);
       EXPECT_EQ(NfaDevice(engines.nfa).recognize(input, pool, plain).accepted, oracle);
       EXPECT_EQ(RidDevice(engines.ridfa).recognize(input, pool, plain).accepted,
-                oracle);
-      EXPECT_EQ(RidDevice(engines.ridfa).recognize(input, pool, converging).accepted,
                 oracle);
     }
   }
@@ -172,11 +171,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeviceAgreement, ::testing::Range<std::uint64_t>
 
 class LookbackProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Joins look-back-seeded DFA chunks along the consistent path: chunk 1
+// runs from the initial state, every later chunk from the seeds of an
+// `lookback`-symbol probe before its boundary. The decision matches the
+// oracle only if every boundary's serial state is among the seeds.
+bool accepts_with_lookback(const Dfa& dfa, std::span<const Symbol> input,
+                           std::size_t chunks, std::size_t lookback) {
+  State state = dfa.initial();
+  const std::vector<ChunkSpan> spans = split_chunks(input.size(), chunks);
+  for (std::size_t i = 0; i < spans.size() && state != kDeadState; ++i) {
+    std::uint64_t probe = 0;
+    const std::vector<State> starts =
+        i == 0 ? std::vector<State>{state}
+               : lookback_seeds(dfa, input, spans[i].begin, lookback, probe, nullptr);
+    const auto chunk = input.subspan(spans[i].begin, spans[i].length);
+    const State from = state;
+    state = kDeadState;
+    const DetChunkResult result = run_chunk_det(dfa, chunk, starts);
+    for (const auto& [start, end] : result.lambda) {
+      if (start == from) state = end;
+    }
+  }
+  return state != kDeadState && dfa.is_final(state);
+}
+
 TEST_P(LookbackProperty, DfaWithLookbackMatchesOracle) {
-  // Look-back speculation (QueryOptions::lookback) must never change the
-  // decision, only the amount of speculative work.
+  // Look-back seeding must never change the decision, only the amount of
+  // speculative work.
   Prng prng(GetParam() ^ 0x100cba);
-  ThreadPool pool(4);
   RandomNfaConfig config;
   config.num_states = 6 + static_cast<std::int32_t>(prng.pick_index(20));
   const Nfa nfa = random_nfa(prng, config);
@@ -186,10 +208,7 @@ TEST_P(LookbackProperty, DfaWithLookbackMatchesOracle) {
       const auto input = testing::random_word(prng, nfa.num_symbols(),
                                               1 + prng.pick_index(80));
       const bool oracle = serial_match(engines.min_dfa, input).accepted;
-      QueryOptions options{.chunks = 5, .convergence = false};
-      options.lookback = lookback;
-      EXPECT_EQ(DfaDevice(engines.min_dfa).recognize(input, pool, options).accepted,
-                oracle)
+      EXPECT_EQ(accepts_with_lookback(engines.min_dfa, input, 5, lookback), oracle)
           << "lookback=" << lookback;
     }
   }
@@ -202,62 +221,29 @@ TEST(Lookback, PrunesStartsWhereTheWindowPinsTheBoundary) {
   // symbols, so a (k+2)-symbol probe collapses 2^(k+1) starts to one.
   const Nfa nfa = glushkov_nfa(parse_regex("[ab]*a[ab]{5}"));
   const Engines engines(nfa);
-  ThreadPool pool(4);
+  const Dfa& dfa = engines.min_dfa;
   Prng prng(77);
-  std::vector<Symbol> input = testing::random_word(prng, 2, 4000);
-  input[input.size() - 6] = 0;  // membership
-  QueryOptions plain{.chunks = 8, .convergence = false};
-  QueryOptions pruned{.chunks = 8, .convergence = false};
-  pruned.lookback = 8;
-  const auto base = DfaDevice(engines.min_dfa).recognize(input, pool, plain);
-  const auto cut = DfaDevice(engines.min_dfa).recognize(input, pool, pruned);
-  EXPECT_TRUE(base.accepted);
-  EXPECT_TRUE(cut.accepted);
-  // 64 surviving runs per chunk vs ~1 plus the probe: at least 10x saved.
-  EXPECT_LT(cut.transitions * 10, base.transitions);
+  const std::vector<Symbol> words = testing::random_word(prng, 2, 4000);
+  const std::span<const Symbol> input(words);
+  std::vector<State> all(static_cast<std::size_t>(dfa.num_states()));
+  std::iota(all.begin(), all.end(), 0);
+  std::uint64_t full = 0;
+  std::uint64_t pruned = 0;
+  const std::vector<ChunkSpan> spans = split_chunks(input.size(), 8);
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    const auto chunk = input.subspan(spans[i].begin, spans[i].length);
+    const std::vector<State> seeds =
+        lookback_seeds(dfa, input, spans[i].begin, 8, pruned, nullptr);
+    const std::vector<Symbol> prefix(words.begin(), words.begin() + spans[i].begin);
+    ASSERT_EQ(seeds, std::vector<State>{dfa.run(dfa.initial(), prefix)}) << "chunk " << i;
+    full += run_chunk_det(dfa, chunk, all).transitions;
+    pruned += run_chunk_det(dfa, chunk, seeds).transitions;
+  }
+  // 64 surviving runs per chunk vs 1 plus the probe: at least 10x saved.
+  EXPECT_LT(pruned * 10, full);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LookbackProperty, ::testing::Range<std::uint64_t>(0, 12));
-
-TEST(TreeJoin, MatchesSerialJoinDecision) {
-  Prng prng(2718);
-  ThreadPool pool(4);
-  for (int trial = 0; trial < 12; ++trial) {
-    RandomNfaConfig config;
-    config.num_states = 5 + static_cast<std::int32_t>(prng.pick_index(20));
-    const Nfa nfa = random_nfa(prng, config);
-    const Engines engines(nfa);
-    for (const std::size_t chunks : {1u, 2u, 7u, 16u}) {
-      const auto input = testing::random_word(prng, nfa.num_symbols(),
-                                              1 + prng.pick_index(60));
-      QueryOptions serial_join{.chunks = chunks, .convergence = false};
-      QueryOptions tree{.chunks = chunks, .convergence = false};
-      tree.tree_join = true;
-      const auto a = DfaDevice(engines.min_dfa).recognize(input, pool, serial_join);
-      const auto b = DfaDevice(engines.min_dfa).recognize(input, pool, tree);
-      EXPECT_EQ(a.accepted, b.accepted) << "chunks=" << chunks;
-      EXPECT_EQ(a.transitions, b.transitions);
-    }
-  }
-}
-
-TEST(TreeJoin, HandlesOddChunkCounts) {
-  ThreadPool pool(4);
-  const Engines engines(glushkov_nfa(parse_regex("(ab)*")));
-  std::vector<Symbol> input;
-  for (int i = 0; i < 30; ++i) {
-    input.push_back(0);
-    input.push_back(1);
-  }
-  for (const std::size_t chunks : {3u, 5u, 9u, 13u}) {
-    QueryOptions tree{.chunks = chunks, .convergence = false};
-    tree.tree_join = true;
-    EXPECT_TRUE(DfaDevice(engines.min_dfa).recognize(input, pool, tree).accepted)
-        << "chunks=" << chunks;
-  }
-}
-
-
 
 }  // namespace
 }  // namespace rispar

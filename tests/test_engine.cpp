@@ -108,39 +108,36 @@ TEST(Engine, AlienBytesRejectNotUb) {
 TEST(Engine, ValidationRejectsUnsupportedKnobs) {
   const Engine engine(Pattern::compile("(ab)*"));
   const std::string_view text = "abab";
-  // Convergence: deterministic single-run devices only (DFA, RID).
-  EXPECT_THROW(engine.recognize(text, {.variant = Variant::kNfa, .convergence = true}),
-               QueryError);
-  EXPECT_THROW(engine.recognize(text, {.variant = Variant::kSfa, .convergence = true}),
-               QueryError);
-  EXPECT_NO_THROW(
-      engine.recognize(text, {.variant = Variant::kDfa, .convergence = true}));
-  EXPECT_NO_THROW(
-      engine.recognize(text, {.variant = Variant::kRid, .convergence = true}));
-  // Look-back and tree-join: DFA device only.
-  EXPECT_THROW(engine.recognize(text, {.variant = Variant::kRid, .lookback = 4}),
-               QueryError);
-  EXPECT_NO_THROW(engine.recognize(text, {.variant = Variant::kDfa, .lookback = 4}));
-  EXPECT_THROW(engine.recognize(text, {.variant = Variant::kRid, .tree_join = true}),
-               QueryError);
-  EXPECT_NO_THROW(engine.recognize(text, {.variant = Variant::kDfa, .tree_join = true}));
-  // Streaming rejects lookback/tree_join even where one-shot allows them —
-  // on the Engine path and on the direct device path alike.
-  EXPECT_THROW(engine.stream({.variant = Variant::kDfa, .lookback = 4}), QueryError);
-  EXPECT_THROW(engine.stream({.variant = Variant::kDfa, .tree_join = true}), QueryError);
-  EXPECT_NO_THROW(engine.stream({.variant = Variant::kDfa, .convergence = true}));
+  // Recognize (every device alike): no paging, positions or exact begins.
+  for (const Variant variant : kAllVariants) {
+    EXPECT_THROW(engine.recognize(text, {.variant = variant, .offset = 1}), QueryError);
+    EXPECT_THROW(engine.recognize(text, {.variant = variant, .limit = 1}), QueryError);
+    EXPECT_THROW(engine.recognize(text, {.variant = variant, .positions = true}),
+                 QueryError);
+    EXPECT_THROW(
+        engine.recognize(text, {.variant = variant, .begin_mode = BeginMode::kExact}),
+        QueryError);
+    EXPECT_NO_THROW(engine.recognize(text, {.variant = variant, .chunks = 3}));
+  }
+  const std::string_view texts[] = {text};
+  EXPECT_THROW(engine.match_all(texts, {.positions = true}), QueryError);
+  // Streaming: positions and exact begins, but no paging — on the Engine
+  // path and on the direct device path alike.
+  EXPECT_THROW(engine.stream({.variant = Variant::kDfa, .offset = 1}), QueryError);
+  EXPECT_THROW(engine.stream({.variant = Variant::kDfa, .limit = 1}), QueryError);
+  EXPECT_NO_THROW(engine.stream({.variant = Variant::kDfa, .positions = true}));
   {
     StreamCarry carry;
     const std::vector<Symbol> window{0, 1};
     EXPECT_THROW(engine.device(Variant::kDfa)
                      .stream_feed(carry, window, engine.pool(),
-                                  {.variant = Variant::kDfa, .lookback = 4}),
+                                  {.variant = Variant::kDfa, .offset = 1}),
                  QueryError);
   }
-  // Counting honors chunks + convergence, nothing else.
-  EXPECT_NO_THROW(engine.count(text, {.chunks = 3, .convergence = true}));
-  EXPECT_THROW(engine.count(text, {.lookback = 2}), QueryError);
-  EXPECT_THROW(engine.count(text, {.tree_join = true}), QueryError);
+  // Counting honors chunks, nothing else.
+  EXPECT_NO_THROW(engine.count(text, {.chunks = 3}));
+  EXPECT_THROW(engine.count(text, {.positions = true}), QueryError);
+  EXPECT_THROW(engine.count(text, {.offset = 2}), QueryError);
 }
 
 TEST(Engine, SfaBudgetExplosionIsAnError) {
@@ -253,33 +250,26 @@ TEST_P(EngineEquivalence, MatchesDirectDevicesAcrossOptions) {
     const bool oracle = engine.accepts(input);
 
     for (const std::size_t chunks : {1u, 2u, 5u, 9u}) {
-      for (const bool convergence : {false, true}) {
-        for (const Variant variant : kAllVariants) {
-          const Device* direct = nullptr;
-          switch (variant) {
-            case Variant::kDfa: direct = &direct_dfa; break;
-            case Variant::kNfa: direct = &direct_nfa; break;
-            case Variant::kRid: direct = &direct_rid; break;
-            case Variant::kSfa:
-              if (!direct_sfa_device.has_value()) continue;  // SFA exploded
-              direct = &*direct_sfa_device;
-              break;
-          }
-          QueryOptions options{.variant = variant, .chunks = chunks};
-          if (convergence) {
-            if (!direct->capabilities().convergence) continue;
-            options.convergence = true;
-          }
-          const QueryResult via_engine = engine.recognize(input, options);
-          const QueryResult via_device =
-              direct->recognize(input, engine.pool(), options);
-          EXPECT_EQ(via_engine.accepted, oracle)
-              << variant_name(variant) << " c=" << chunks << " conv=" << convergence;
-          EXPECT_EQ(via_engine.accepted, via_device.accepted);
-          EXPECT_EQ(via_engine.transitions, via_device.transitions)
-              << variant_name(variant) << " c=" << chunks << " conv=" << convergence;
-          EXPECT_EQ(via_engine.chunks, via_device.chunks);
+      for (const Variant variant : kAllVariants) {
+        const Device* direct = nullptr;
+        switch (variant) {
+          case Variant::kDfa: direct = &direct_dfa; break;
+          case Variant::kNfa: direct = &direct_nfa; break;
+          case Variant::kRid: direct = &direct_rid; break;
+          case Variant::kSfa:
+            if (!direct_sfa_device.has_value()) continue;  // SFA exploded
+            direct = &*direct_sfa_device;
+            break;
         }
+        const QueryOptions options{.variant = variant, .chunks = chunks};
+        const QueryResult via_engine = engine.recognize(input, options);
+        const QueryResult via_device = direct->recognize(input, engine.pool(), options);
+        EXPECT_EQ(via_engine.accepted, oracle)
+            << variant_name(variant) << " c=" << chunks;
+        EXPECT_EQ(via_engine.accepted, via_device.accepted);
+        EXPECT_EQ(via_engine.transitions, via_device.transitions)
+            << variant_name(variant) << " c=" << chunks;
+        EXPECT_EQ(via_engine.chunks, via_device.chunks);
       }
     }
   }
@@ -300,32 +290,25 @@ TEST_P(EngineEquivalence, StreamAnySegmentationMatchesOneShot) {
     for (const Variant variant : kAllVariants) {
       const Device* device = engine.try_device(variant);
       if (device == nullptr) continue;  // SFA exploded
-      for (const bool convergence : {false, true}) {
-        if (convergence && !device->capabilities().convergence) continue;
-        const QueryOptions options{.variant = variant, .chunks = 3,
-                                   .convergence = convergence};
-        const QueryResult one_shot = engine.recognize(input, options);
+      const QueryOptions options{.variant = variant, .chunks = 3};
+      const QueryResult one_shot = engine.recognize(input, options);
 
-        // Single window: decision AND transition count match one-shot.
-        StreamSession whole = engine.stream(options);
-        whole.feed(std::span<const Symbol>(input));
-        EXPECT_EQ(whole.accepted(), one_shot.accepted) << variant_name(variant);
-        EXPECT_EQ(whole.transitions(), one_shot.transitions)
-            << variant_name(variant) << " conv=" << convergence;
+      // Single window: decision AND transition count match one-shot.
+      StreamSession whole = engine.stream(options);
+      whole.feed(std::span<const Symbol>(input));
+      EXPECT_EQ(whole.accepted(), one_shot.accepted) << variant_name(variant);
+      EXPECT_EQ(whole.transitions(), one_shot.transitions) << variant_name(variant);
 
-        // Random segmentation: the decision is segmentation-invariant.
-        StreamSession session = engine.stream(options);
-        std::size_t offset = 0;
-        while (offset < input.size()) {
-          const std::size_t take =
-              std::min(input.size() - offset, 1 + prng.pick_index(25));
-          session.feed(std::span<const Symbol>(input.data() + offset, take));
-          offset += take;
-        }
-        EXPECT_EQ(session.accepted(), one_shot.accepted)
-            << variant_name(variant) << " conv=" << convergence
-            << " trial " << trial;
+      // Random segmentation: the decision is segmentation-invariant.
+      StreamSession session = engine.stream(options);
+      std::size_t offset = 0;
+      while (offset < input.size()) {
+        const std::size_t take = std::min(input.size() - offset, 1 + prng.pick_index(25));
+        session.feed(std::span<const Symbol>(input.data() + offset, take));
+        offset += take;
       }
+      EXPECT_EQ(session.accepted(), one_shot.accepted)
+          << variant_name(variant) << " trial " << trial;
     }
   }
 }
@@ -346,13 +329,9 @@ TEST_P(EngineEquivalence, CountMatchesSerialOracleUnderAllModes) {
     const auto input = searcher.symbols().translate(text);
     const QueryResult serial = count_matches_serial(searcher, input);
     for (const std::size_t chunks : {1u, 3u, 7u}) {
-      for (const bool convergence : {false, true}) {
-        const QueryResult via_engine =
-            engine.count(text, {.chunks = chunks, .convergence = convergence});
-        EXPECT_EQ(via_engine.matches, serial.matches)
-            << "c=" << chunks << " conv=" << convergence << " text=" << text;
-        EXPECT_EQ(via_engine.died, serial.died);
-      }
+      const QueryResult via_engine = engine.count(text, {.chunks = chunks});
+      EXPECT_EQ(via_engine.matches, serial.matches) << "c=" << chunks << " text=" << text;
+      EXPECT_EQ(via_engine.died, serial.died);
     }
   }
 }

@@ -1,7 +1,7 @@
 // The find_all / PatternSet acceptance properties:
 //  * Engine::find positions == the naive serial reference scan for every
 //    variant (which find does not consult — looped anyway to prove it),
-//    chunk count {1, 2, 7, 64} and convergence on/off;
+//    and chunk count {1, 2, 7, 64};
 //  * count(text).matches == find_all(text).size() — one chunk walker with
 //    two recorders — with equal transitions, for chunks 1..8;
 //  * offset/limit page the payload without changing the total;
@@ -98,14 +98,12 @@ TEST(FindAll, PagingRejectedWhereNotHonored) {
   EXPECT_THROW(engine.recognize("ab", {.offset = 1}), QueryError);
   EXPECT_THROW(engine.count("ab", {.offset = 1}), QueryError);
   EXPECT_THROW(engine.stream({.limit = 1}), QueryError);
-  // find rejects what IT cannot honor.
-  EXPECT_THROW(engine.find("ab", {.lookback = 4}), QueryError);
-  EXPECT_THROW(engine.find("ab", {.tree_join = true}), QueryError);
+  EXPECT_NO_THROW(engine.find("ab", {.offset = 1, .limit = 1}));
 }
 
 // The acceptance matrix: positions equal the serial reference for every
-// variant (not consulted — proven by sweeping it), chunk count {1,2,7,64}
-// and convergence on/off. Counting runs the same chunk walker with a hit
+// variant (not consulted — proven by sweeping it) and chunk count
+// {1,2,7,64}. Counting runs the same chunk walker with a hit
 // counter: count(t).matches == find_all(t).size() for chunks 1..8, and at
 // one chunk its transitions equal count_matches_serial's.
 class FindAllEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -131,14 +129,11 @@ TEST_P(FindAllEquivalence, ParallelEqualsSerialOracleEverywhere) {
   for (const Variant variant :
        {Variant::kDfa, Variant::kNfa, Variant::kRid, Variant::kSfa}) {
     for (const std::size_t chunks : {1u, 2u, 7u, 64u}) {
-      for (const bool convergence : {false, true}) {
-        const QueryResult result = engine.find(
-            text, {.variant = variant, .chunks = chunks, .convergence = convergence});
-        EXPECT_EQ(result.positions, oracle)
-            << "regex=" << regex << " text=" << text << " chunks=" << chunks
-            << " conv=" << convergence;
-        EXPECT_EQ(result.matches, oracle.size());
-      }
+      const QueryResult result =
+          engine.find(text, {.variant = variant, .chunks = chunks});
+      EXPECT_EQ(result.positions, oracle)
+          << "regex=" << regex << " text=" << text << " chunks=" << chunks;
+      EXPECT_EQ(result.matches, oracle.size());
     }
   }
 
@@ -146,19 +141,17 @@ TEST_P(FindAllEquivalence, ParallelEqualsSerialOracleEverywhere) {
   const QueryResult serial_count =
       count_matches_serial(searcher, searcher.symbols().translate(text));
   for (std::size_t chunks = 1; chunks <= 8; ++chunks) {
-    for (const bool convergence : {false, true}) {
-      const QueryOptions options{.chunks = chunks, .convergence = convergence};
-      const QueryResult counted = engine.count(text, options);
-      const QueryResult found = engine.find(text, options);
-      EXPECT_EQ(counted.matches, oracle.size())
-          << "regex=" << regex << " chunks=" << chunks << " conv=" << convergence;
-      EXPECT_EQ(counted.matches, found.positions.size());
-      EXPECT_EQ(counted.died, found.died);
-      EXPECT_EQ(counted.transitions, found.transitions)
-          << "regex=" << regex << " chunks=" << chunks << " conv=" << convergence;
-      if (chunks == 1) {
-        EXPECT_EQ(counted.transitions, serial_count.transitions);
-      }
+    const QueryOptions options{.chunks = chunks};
+    const QueryResult counted = engine.count(text, options);
+    const QueryResult found = engine.find(text, options);
+    EXPECT_EQ(counted.matches, oracle.size())
+        << "regex=" << regex << " chunks=" << chunks;
+    EXPECT_EQ(counted.matches, found.positions.size());
+    EXPECT_EQ(counted.died, found.died);
+    EXPECT_EQ(counted.transitions, found.transitions)
+        << "regex=" << regex << " chunks=" << chunks;
+    if (chunks == 1) {
+      EXPECT_EQ(counted.transitions, serial_count.transitions);
     }
   }
 }
@@ -181,14 +174,10 @@ TEST(FindAll, WorkloadTextMatchesNaiveSubstringSearch) {
   EXPECT_EQ(matches, expected);
   EXPECT_GT(matches.size(), 0u);
 
-  // The same large text through every convergence/chunking — deep merge
-  // chains and chunk-boundary separators only show up at this size.
-  for (const std::size_t chunks : {16u, 64u}) {
-    for (const bool convergence : {false, true}) {
-      EXPECT_EQ(engine.find_all(text, {.chunks = chunks, .convergence = convergence}),
-                expected)
-          << "chunks=" << chunks << " conv=" << convergence;
-    }
+  // The same large text at finer chunking — deep merge chains and
+  // chunk-boundary separators only show up at this size.
+  for (const std::size_t chunks : {64u, 256u}) {
+    EXPECT_EQ(engine.find_all(text, {.chunks = chunks}), expected) << "chunks=" << chunks;
   }
 }
 
@@ -269,9 +258,10 @@ TEST(PatternSet, PagingAppliesToTheMergedStream) {
 }
 
 TEST(PatternSet, RejectsUnsupportedKnobs) {
+  // Streaming find has no total to page against.
   const PatternSet set = PatternSet::compile({"ab"});
-  EXPECT_THROW(set.find("ab", {.lookback = 2}), QueryError);
-  EXPECT_THROW(set.find("ab", {.tree_join = true}), QueryError);
+  EXPECT_THROW(set.stream_find({.offset = 2}), QueryError);
+  EXPECT_THROW(set.stream_find({.limit = 1}), QueryError);
 }
 
 // The concurrent-caller smoke tests (ISSUE 3 small fix): one shared
@@ -321,8 +311,8 @@ TEST(ConcurrentQueries, SharedPatternSetServesManyThreads) {
 TEST(ConcurrentQueries, MixedOptionsStressOnSharedEngineAndSet) {
   // The work-stealing shape: one Engine and one PatternSet sharing nothing
   // but their pools, hammered from many threads with varying chunk counts
-  // and convergence at once — batches interleave in the
-  // pools instead of queueing, and every answer must still be exact.
+  // at once — batches interleave in the pools instead of queueing, and
+  // every answer must still be exact.
   const Engine engine(Pattern::compile("(ab|ba)*a"), {.threads = 3});
   const PatternSet set = PatternSet::compile({"ab", "aab", "<h3>"}, {.threads = 3});
   Prng prng(2026);
@@ -338,9 +328,7 @@ TEST(ConcurrentQueries, MixedOptionsStressOnSharedEngineAndSet) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 15; ++i) {
-        const QueryOptions options{
-            .chunks = static_cast<std::size_t>(1 + (t + i) % 16),
-            .convergence = (t + i) % 2 == 0};
+        const QueryOptions options{.chunks = static_cast<std::size_t>(1 + (t + i) % 16)};
         if (engine.find_all(text, options) != engine_expected) ++failures;
         if (set.find_all(text, options) != set_expected) ++failures;
       }

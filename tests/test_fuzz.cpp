@@ -192,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RidfaInvariants, ::testing::Range<std::uint64_t>
 // ------------------------------------------------- differential fuzz driver
 // Random regex × random text × random window splits; streaming find must
 // equal one-shot Engine::find AND the serial one-scan oracle for every
-// variant × chunks {1, 2, 7, 64} × convergence the device admits, with
+// variant × chunks {1, 2, 7, 64}, with
 // absolute offsets stable across arbitrary window boundaries — and the
 // streamed DECISION must equal serial membership.
 
@@ -243,77 +243,55 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
         find_matches_serial(searcher, searcher.symbols().translate(text));
     const bool oracle_accepts = engine.accepts(text);
 
-    // One-shot find and count across chunks × convergence (variant not
-    // consulted), through the byte entries: each chunk walk reads the text
-    // through the searcher's map, the production path.
+    // One-shot find and count across chunks (variant not consulted),
+    // through the byte entries: each chunk walk reads the text through the
+    // searcher's map, the production path.
     for (const std::size_t chunks : kChunks) {
-      for (const bool convergence : {false, true}) {
-        const QueryResult one_shot =
-            engine.find(text, {.chunks = chunks, .convergence = convergence});
-        ASSERT_EQ(one_shot.positions, oracle.positions)
-            << "one-shot chunks=" << chunks << " conv=" << convergence;
-        ASSERT_EQ(one_shot.matches, oracle.matches);
-        ASSERT_EQ(engine.count(text, {.chunks = chunks, .convergence = convergence})
-                      .matches,
-                  oracle.matches)
-            << "count chunks=" << chunks << " conv=" << convergence;
-      }
+      const QueryResult one_shot = engine.find(text, {.chunks = chunks});
+      ASSERT_EQ(one_shot.positions, oracle.positions) << "one-shot chunks=" << chunks;
+      ASSERT_EQ(one_shot.matches, oracle.matches);
+      ASSERT_EQ(engine.count(text, {.chunks = chunks}).matches, oracle.matches)
+          << "count chunks=" << chunks;
     }
 
-    // One-shot recognize from bytes: every variant × chunks × convergence
-    // against the serial decision.
+    // One-shot recognize from bytes: every variant × chunks against the
+    // serial decision.
     for (const Variant variant : kVariants) {
       if (engine.try_device(variant) == nullptr) continue;  // SFA explosion
-      const DeviceCaps caps = engine.device(variant).capabilities();
       for (const std::size_t chunks : kChunks)
-        for (const bool convergence : {false, true}) {
-          if (convergence && !caps.convergence) continue;
-          ASSERT_EQ(engine
-                        .recognize(text, {.variant = variant,
-                                          .chunks = chunks,
-                                          .convergence = convergence})
-                        .accepted,
-                    oracle_accepts)
-              << variant_name(variant) << " chunks=" << chunks << " conv=" << convergence;
-        }
+        ASSERT_EQ(engine.recognize(text, {.variant = variant, .chunks = chunks}).accepted,
+                  oracle_accepts)
+            << variant_name(variant) << " chunks=" << chunks;
     }
 
-    // Streaming find: every variant × chunks × convergence the device's
-    // streaming caps admit, each under a fresh random window split,
-    // alternating the two drain shapes.
+    // Streaming find: every variant × chunks, each under a fresh random
+    // window split, alternating the two drain shapes.
     for (const Variant variant : kVariants) {
       if (engine.try_device(variant) == nullptr) continue;  // SFA explosion
-      const DeviceCaps caps = engine.device(variant).stream_capabilities();
       for (const std::size_t chunks : kChunks) {
-        for (const bool convergence : {false, true}) {
-          if (convergence && !caps.convergence) continue;
-          StreamSession stream = engine.stream({.variant = variant,
-                                                .chunks = chunks,
-                                                .convergence = convergence,
-                                                .positions = true});
-          std::vector<Match> collected;
-          const MatchSink sink = [&](const Match& m) { collected.push_back(m); };
-          const bool use_sink = prng.pick_index(2) == 0;
-          std::size_t offset = 0;
-          while (offset < text.size()) {
-            const std::size_t take =
-                std::min(text.size() - offset, 1 + prng.pick_index(40));
-            const std::string_view window(text.data() + offset, take);
-            if (use_sink) {
-              stream.feed(window, sink);
-            } else {
-              stream.feed(window);
-              for (const Match& m : stream.take_matches()) collected.push_back(m);
-            }
-            offset += take;
+        StreamSession stream =
+            engine.stream({.variant = variant, .chunks = chunks, .positions = true});
+        std::vector<Match> collected;
+        const MatchSink sink = [&](const Match& m) { collected.push_back(m); };
+        const bool use_sink = prng.pick_index(2) == 0;
+        std::size_t offset = 0;
+        while (offset < text.size()) {
+          const std::size_t take =
+              std::min(text.size() - offset, 1 + prng.pick_index(40));
+          const std::string_view window(text.data() + offset, take);
+          if (use_sink) {
+            stream.feed(window, sink);
+          } else {
+            stream.feed(window);
+            for (const Match& m : stream.take_matches()) collected.push_back(m);
           }
-          ASSERT_EQ(collected, oracle.positions)
-              << variant_name(variant) << " chunks=" << chunks
-              << " conv=" << convergence << " sink=" << use_sink;
-          ASSERT_EQ(stream.matches(), oracle.matches);
-          ASSERT_EQ(stream.accepted(), oracle_accepts) << variant_name(variant);
-          ASSERT_EQ(stream.bytes_consumed(), text.size());
+          offset += take;
         }
+        ASSERT_EQ(collected, oracle.positions)
+            << variant_name(variant) << " chunks=" << chunks << " sink=" << use_sink;
+        ASSERT_EQ(stream.matches(), oracle.matches);
+        ASSERT_EQ(stream.accepted(), oracle_accepts) << variant_name(variant);
+        ASSERT_EQ(stream.bytes_consumed(), text.size());
       }
     }
   }
@@ -322,7 +300,7 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
 // ---------------------------------------------- exact-begin differential fuzz
 // Under begin_mode=kExact, every emitted begin must be the TRUE leftmost
 // start — min{b : text[b..end) ∈ L(p)} — and the property must hold
-// identically for one-shot find (all chunk counts × convergence),
+// identically for one-shot find (all chunk counts),
 // streaming find (all variants × chunk counts × random window splits) and
 // the serial reverse-scan oracle. A brute-force membership sweep over every
 // candidate begin gives a fully independent second oracle on short texts.
@@ -381,23 +359,19 @@ TEST(ExactBeginFuzz, ExactBeginsEqualAcrossAllPathsAndOracles) {
           << "end=" << exact.end << " separators_sound=" << reverse.separators_sound;
     }
 
-    // One-shot exact find across the chunk × convergence matrix, from bytes
-    // (Engine::find, the production path: the forward walk and the backward
-    // reverse-DFA scans both read the text through the searcher's map) and
-    // from the translated symbols.
+    // One-shot exact find across the chunk counts, from bytes (Engine::find,
+    // the production path: the forward walk and the backward reverse-DFA
+    // scans both read the text through the searcher's map) and from the
+    // translated symbols.
     for (const std::size_t chunks : kChunks) {
-      for (const bool convergence : {false, true}) {
-        const QueryOptions options{.chunks = chunks, .convergence = convergence,
-                                   .begin_mode = BeginMode::kExact};
-        const QueryResult one_shot = engine.find(text, options);
-        ASSERT_EQ(one_shot.positions, exact_oracle.positions)
-            << "one-shot chunks=" << chunks << " conv=" << convergence;
-        ASSERT_EQ(find_matches(searcher, input, engine.pool(), options, 0, nullptr,
-                               &reverse)
-                      .positions,
-                  exact_oracle.positions)
-            << "symbols chunks=" << chunks << " conv=" << convergence;
-      }
+      const QueryOptions options{.chunks = chunks, .begin_mode = BeginMode::kExact};
+      const QueryResult one_shot = engine.find(text, options);
+      ASSERT_EQ(one_shot.positions, exact_oracle.positions)
+          << "one-shot chunks=" << chunks;
+      const QueryResult from_symbols =
+          find_matches(searcher, input, engine.pool(), options, 0, nullptr, &reverse);
+      ASSERT_EQ(from_symbols.positions, exact_oracle.positions)
+          << "symbols chunks=" << chunks;
     }
 
     // Streaming exact find: every variant × chunks under fresh random

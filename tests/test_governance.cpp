@@ -259,21 +259,18 @@ TEST(Governance, GovernedFindEqualsUngoverned) {
   for (std::size_t i = 0; i < 2 * kGovernorStride; ++i)
     text.push_back("ab x"[prng.pick_index(4)]);
 
-  for (const bool convergence : {false, true}) {
-    const QueryOptions plain{.chunks = 7, .convergence = convergence};
-    const QueryOptions governed = never_trips(plain, live);
-    const QueryResult expected = engine.find(text, plain);
-    const QueryResult actual = engine.find(text, governed);
-    EXPECT_EQ(expected.matches, actual.matches) << "conv=" << convergence;
-    EXPECT_EQ(expected.transitions, actual.transitions) << "conv=" << convergence;
-    EXPECT_EQ(expected.positions, actual.positions) << "conv=" << convergence;
+  const QueryOptions plain{.chunks = 7};
+  const QueryOptions governed = never_trips(plain, live);
+  const QueryResult expected = engine.find(text, plain);
+  const QueryResult actual = engine.find(text, governed);
+  EXPECT_EQ(expected.matches, actual.matches);
+  EXPECT_EQ(expected.transitions, actual.transitions);
+  EXPECT_EQ(expected.positions, actual.positions);
 
-    const QueryResult counted = engine.count(text, plain);
-    const QueryResult counted_governed = engine.count(text, governed);
-    EXPECT_EQ(counted.matches, counted_governed.matches) << "conv=" << convergence;
-    EXPECT_EQ(counted.transitions, counted_governed.transitions)
-        << "conv=" << convergence;
-  }
+  const QueryResult counted = engine.count(text, plain);
+  const QueryResult counted_governed = engine.count(text, governed);
+  EXPECT_EQ(counted.matches, counted_governed.matches);
+  EXPECT_EQ(counted.transitions, counted_governed.transitions);
 }
 
 // The chunk walker polls at its block boundaries in every band of its

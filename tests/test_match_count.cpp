@@ -12,6 +12,7 @@
 #include "automata/subset.hpp"
 #include "engine/pattern.hpp"
 #include "helpers.hpp"
+#include "parallel/ca_run.hpp"
 #include "parallel/chunk_walker.hpp"
 #include "parallel/chunking.hpp"
 #include "regex/parser.hpp"
@@ -25,9 +26,7 @@ Dfa searcher(const std::string& pattern) {
   return minimize_dfa(determinize(glushkov_nfa(parse_regex(".*" + pattern))));
 }
 
-QueryOptions counting(std::size_t chunks, bool convergence = false) {
-  return QueryOptions{.chunks = chunks, .convergence = convergence};
-}
+QueryOptions counting(std::size_t chunks) { return QueryOptions{.chunks = chunks}; }
 
 TEST(MatchCount, SerialCountsOccurrences) {
   const Dfa dfa = searcher("ab");
@@ -49,13 +48,9 @@ TEST(MatchCount, ParallelEqualsSerialSmall) {
   const auto input = dfa.symbols().translate("abababbababa");
   const QueryResult serial = count_matches_serial(dfa, input);
   for (const std::size_t chunks : {1u, 2u, 3u, 5u, 12u}) {
-    for (const bool convergence : {false, true}) {
-      const QueryResult parallel =
-          count_matches(dfa, input, pool, counting(chunks, convergence));
-      EXPECT_EQ(parallel.matches, serial.matches)
-          << "chunks=" << chunks << " conv=" << convergence;
-      EXPECT_FALSE(parallel.died);
-    }
+    const QueryResult parallel = count_matches(dfa, input, pool, counting(chunks));
+    EXPECT_EQ(parallel.matches, serial.matches) << "chunks=" << chunks;
+    EXPECT_FALSE(parallel.died);
   }
 }
 
@@ -64,10 +59,13 @@ TEST(MatchCount, UnsupportedKnobsRaiseQueryError) {
   ThreadPool pool(2);
   const auto input = dfa.symbols().translate("abab");
   QueryOptions bad = counting(2);
-  bad.lookback = 8;
+  bad.positions = true;
   EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
   bad = counting(2);
-  bad.tree_join = true;
+  bad.limit = 1;
+  EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
+  bad = counting(2);
+  bad.begin_mode = BeginMode::kExact;
   EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
 }
 
@@ -77,17 +75,27 @@ TEST(MatchCount, ConvergenceSavesTransitionsOnTotalMachines) {
   // probe leaves most searchers a single start per chunk, so this machine
   // needs a synchronizing word longer than the probe: over a run of a's the
   // searcher of a{N} keeps N - kBoundaryProbe + 1 seeds alive, and they
-  // converge only as they saturate at N.
+  // converge only as they saturate at N. Counting always converges; the
+  // independent cost is the same chunks walked from the same seeds by the
+  // kernel with convergence off, plus the same probes.
   const std::size_t n = kBoundaryProbe + 40;
   const Dfa dfa = searcher("a{" + std::to_string(n) + "}");
   ThreadPool pool(4);
   const std::string text(8 * 2 * n, 'a');
-  const auto input = dfa.symbols().translate(text);
-  const QueryResult independent = count_matches(dfa, input, pool, counting(8, false));
-  const QueryResult convergent = count_matches(dfa, input, pool, counting(8, true));
-  EXPECT_EQ(independent.matches, convergent.matches);
-  EXPECT_EQ(independent.died, convergent.died);
-  EXPECT_LT(convergent.transitions, independent.transitions);
+  const std::vector<Symbol> symbols = dfa.symbols().translate(text);
+  const std::span<const Symbol> input(symbols);
+  const QueryResult convergent = count_matches(dfa, input, pool, counting(8));
+  std::uint64_t independent = 0;
+  for (const ChunkSpan& chunk : split_chunks(input.size(), 8)) {
+    const std::size_t lookback = std::min(kBoundaryProbe, chunk.length);
+    std::vector<State> starts{dfa.initial()};
+    if (chunk.begin > 0)
+      starts = lookback_seeds(dfa, input, chunk.begin, lookback, independent, nullptr);
+    const auto span = input.subspan(chunk.begin, chunk.length);
+    independent += run_chunk_det(dfa, span, starts).transitions;
+  }
+  EXPECT_LT(convergent.transitions, independent);
+  EXPECT_FALSE(convergent.died);
   EXPECT_EQ(convergent.matches, count_matches_serial(dfa, input).matches);
 }
 
@@ -98,13 +106,10 @@ TEST(MatchCount, DiedRunReportsPartialCount) {
   ThreadPool pool(2);
   const auto input = dfa.symbols().translate("ba");
   const QueryResult serial = count_matches_serial(dfa, input);
-  for (const bool convergence : {false, true}) {
-    const QueryResult parallel =
-        count_matches(dfa, input, pool, counting(2, convergence));
-    EXPECT_TRUE(serial.died);
-    EXPECT_TRUE(parallel.died) << "conv=" << convergence;
-    EXPECT_EQ(parallel.matches, serial.matches);
-  }
+  const QueryResult parallel = count_matches(dfa, input, pool, counting(2));
+  EXPECT_TRUE(serial.died);
+  EXPECT_TRUE(parallel.died);
+  EXPECT_EQ(parallel.matches, serial.matches);
 }
 
 TEST(MatchCount, CountsTitlesInBibleText) {
@@ -126,8 +131,8 @@ TEST(MatchCount, CountsTitlesInBibleText) {
 
 class MatchCountProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Parallel == serial counts on random machines, with run convergence ON
-// and off, across chunk counts 1..8. On partial machines runs die (the
+// Parallel == serial counts on random machines (the walk always converges),
+// across chunk counts 1..8. On partial machines runs die (the
 // serial oracle reports died) and convergent groups die together; the
 // per-start totals must still reconstruct exactly through the merge
 // forest. Finding is the same walker with a hit list, so it must report
@@ -146,22 +151,17 @@ TEST_P(MatchCountProperty, ParallelEqualsSerialOnRandomMachines) {
         testing::random_word(prng, dfa.num_symbols(), 1 + prng.pick_index(100));
     const QueryResult serial = count_matches_serial(dfa, input);
     for (std::size_t chunks = 1; chunks <= 8; ++chunks) {
-      for (const bool convergence : {false, true}) {
-        const QueryOptions options = counting(chunks, convergence);
-        const QueryResult parallel = count_matches(dfa, input, pool, options);
-        EXPECT_EQ(parallel.matches, serial.matches)
-            << "chunks=" << chunks << " conv=" << convergence;
-        EXPECT_EQ(parallel.died, serial.died)
-            << "chunks=" << chunks << " conv=" << convergence;
-        const QueryResult found = find_matches(dfa, input, pool, options);
-        EXPECT_EQ(found.matches, parallel.matches);
-        EXPECT_EQ(found.positions.size(), parallel.matches);
-        EXPECT_EQ(found.died, parallel.died);
-        EXPECT_EQ(found.transitions, parallel.transitions)
-            << "chunks=" << chunks << " conv=" << convergence;
-        if (chunks == 1) {
-          EXPECT_EQ(parallel.transitions, serial.transitions);
-        }
+      const QueryOptions options = counting(chunks);
+      const QueryResult parallel = count_matches(dfa, input, pool, options);
+      EXPECT_EQ(parallel.matches, serial.matches) << "chunks=" << chunks;
+      EXPECT_EQ(parallel.died, serial.died) << "chunks=" << chunks;
+      const QueryResult found = find_matches(dfa, input, pool, options);
+      EXPECT_EQ(found.matches, parallel.matches);
+      EXPECT_EQ(found.positions.size(), parallel.matches);
+      EXPECT_EQ(found.died, parallel.died);
+      EXPECT_EQ(found.transitions, parallel.transitions) << "chunks=" << chunks;
+      if (chunks == 1) {
+        EXPECT_EQ(parallel.transitions, serial.transitions);
       }
     }
   }
@@ -251,12 +251,9 @@ TEST(LookbackSeeds, HoldTheSerialBoundaryState) {
             << "trial " << trial << " boundary " << chunk.begin;
     }
     const QueryResult serial = find_matches_serial(dfa, text);
-    for (const bool convergence : {false, true}) {
-      const QueryResult found =
-          find_matches(dfa, text, pool, counting(chunks, convergence));
-      EXPECT_EQ(found.positions, serial.positions) << "trial " << trial;
-      EXPECT_EQ(found.died, serial.died) << "trial " << trial;
-    }
+    const QueryResult found = find_matches(dfa, text, pool, counting(chunks));
+    EXPECT_EQ(found.positions, serial.positions) << "trial " << trial;
+    EXPECT_EQ(found.died, serial.died) << "trial " << trial;
   }
 }
 

@@ -23,7 +23,7 @@ class PaperExamples : public ::testing::Test {
   Ridfa ridfa_ = build_ridfa(nfa_);
   ThreadPool pool_{2};
   std::vector<Symbol> input_ = testing::fig1_string();  // a a b | c a b
-  QueryOptions two_chunks_{.chunks = 2, .convergence = false};
+  QueryOptions two_chunks_{.chunks = 2};
 };
 
 TEST_F(PaperExamples, MinDfaHasFourStatesAndRidfaFive) {
@@ -57,7 +57,7 @@ TEST_F(PaperExamples, Fig1TransitionCountRidfaIs9) {
 }
 
 TEST_F(PaperExamples, SerialDfaDoesExactlyNTransitions) {
-  const QueryOptions serial{.chunks = 1, .convergence = false};
+  const QueryOptions serial{.chunks = 1};
   const QueryResult stats = DfaDevice(min_dfa_).recognize(input_, pool_, serial);
   EXPECT_EQ(stats.transitions, input_.size());
   EXPECT_TRUE(stats.accepted);
@@ -77,7 +77,7 @@ TEST(PaperFig2, NineTransitionsAndAccepted) {
   const Dfa dfa = testing::fig2_dfa();
   ThreadPool pool(2);
   const std::vector<Symbol> input{1, 0, 1, 0, 0, 0};  // b a b a a a
-  const QueryOptions options{.chunks = 2, .convergence = false};
+  const QueryOptions options{.chunks = 2};
   const QueryResult stats = DfaDevice(dfa).recognize(input, pool, options);
   EXPECT_TRUE(stats.accepted);
   EXPECT_EQ(stats.transitions, 9u);

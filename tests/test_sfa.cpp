@@ -72,7 +72,7 @@ TEST(SfaDevice, ZeroSpeculationTransitionCount) {
   ThreadPool pool(4);
   const std::vector<Symbol> input{1, 0, 1, 0, 0, 0};
   for (const std::size_t chunks : {1u, 2u, 3u, 6u}) {
-    const QueryOptions options{.chunks = chunks, .convergence = false};
+    const QueryOptions options{.chunks = chunks};
     const QueryResult stats = SfaDevice(*sfa, dfa).recognize(input, pool, options);
     EXPECT_TRUE(stats.accepted);
     EXPECT_EQ(stats.transitions, input.size()) << "c=" << chunks;
@@ -84,7 +84,7 @@ TEST(SfaDevice, EmptyInput) {
   const auto sfa = try_build_sfa(star);
   ASSERT_TRUE(sfa.has_value());
   ThreadPool pool(2);
-  const QueryOptions options{.chunks = 4, .convergence = false};
+  const QueryOptions options{.chunks = 4};
   EXPECT_TRUE(SfaDevice(*sfa, star).recognize({}, pool, options).accepted);
 }
 
@@ -104,7 +104,7 @@ TEST_P(SfaAgreement, MatchesSerialOracleOnRandomMachines) {
 
   ThreadPool pool(4);
   for (const std::size_t chunks : {1u, 3u, 5u}) {
-    const QueryOptions options{.chunks = chunks, .convergence = false};
+    const QueryOptions options{.chunks = chunks};
     for (int trial = 0; trial < 15; ++trial) {
       const auto word =
           testing::random_word(prng, dfa.num_symbols(), 1 + prng.pick_index(40));

@@ -3,12 +3,10 @@
 //   rispar compile <pattern>                  automata statistics for an RE
 //   rispar match   <pattern> <file|->         parallel recognition of a file
 //          [--variant dfa|nfa|rid|sfa|all] [--chunks N] [--threads N]
-//          [--convergence]
 //   rispar count   <pattern> <file|->         occurrences of pattern
-//          [--chunks N] [--convergence]
+//          [--chunks N]
 //   rispar find    <pattern|--patterns FILE> <file|->   positioned matches
-//          [--positions] [--chunks N] [--threads N] [--convergence]
-//          [--offset N] [--limit N]
+//          [--positions] [--chunks N] [--threads N] [--offset N] [--limit N]
 //   rispar export  <pattern> [--machine nfa|dfa|ridfa] [--format native|timbuk]
 //   rispar gen     <benchmark> <bytes> [--seed N]     workload text to stdout
 //   rispar bench-list                         the five paper workloads
@@ -23,6 +21,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "automata/serialize.hpp"
@@ -41,17 +40,14 @@ const char* const kUsage =
     "usage:\n"
     "  rispar compile <pattern>\n"
     "  rispar match <pattern> <file|-> [--variant dfa|nfa|rid|sfa|all]\n"
-    "               [--chunks N] [--threads N] [--convergence]\n"
-    "               [--timeout-ms N]\n"
-    "  rispar count <pattern> <file|-> [--chunks N] [--convergence]\n"
-    "               [--timeout-ms N]\n"
+    "               [--chunks N] [--threads N] [--timeout-ms N]\n"
+    "  rispar count <pattern> <file|-> [--chunks N] [--timeout-ms N]\n"
     "  rispar find <pattern> <file|-> [--positions] [--chunks N] [--threads N]\n"
-    "              [--convergence] [--offset N] [--limit N] [--timeout-ms N]\n"
-    "              [--exact-begins]\n"
+    "              [--offset N] [--limit N] [--timeout-ms N] [--exact-begins]\n"
     "  rispar find --patterns <patterns-file> <file|-> [same flags]\n"
     "  rispar find <pattern|--patterns FILE> <file|-> --stream\n"
     "              [--window BYTES] [--positions] [--chunks N] [--threads N]\n"
-    "              [--convergence] [--timeout-ms N] [--exact-begins]\n"
+    "              [--timeout-ms N] [--exact-begins]\n"
     "  rispar export <pattern> [--machine nfa|dfa|ridfa] [--format native|timbuk]\n"
     "  rispar gen <benchmark> <bytes> [--seed N]\n"
     "  rispar bench-list\n"
@@ -75,7 +71,9 @@ const char* const kUsage =
     "match (dfa, rid), count and find run one chunk walker. It picks its\n"
     "step from the number of live speculative runs: vector gathers from 8\n"
     "live runs on (AVX2 when the CPU has it, a portable unrolled loop\n"
-    "otherwise), a scalar loop below that. There is nothing to choose.\n"
+    "otherwise), a scalar loop below that. count and find merge runs that\n"
+    "converge; match walks every run on its own. There is nothing to choose,\n"
+    "and an option this tool does not know is an error (exit 2).\n"
     "\n"
     "--stream reads the input in windows of at most --window bytes (default\n"
     "64 KiB) through a streaming-find session: at no point does the whole\n"
@@ -101,8 +99,8 @@ const char* const kUsage =
     "  0  match / count / find found at least one match (or the command has\n"
     "     no match notion: compile, export, gen, bench-list succeeded)\n"
     "  1  the input was searched cleanly but nothing matched\n"
-    "  2  error: bad usage, bad pattern, unsupported option combination\n"
-    "     (QueryError), or unreadable input\n"
+    "  2  error: bad usage, unknown option, bad pattern, unsupported option\n"
+    "     combination (QueryError), or unreadable input\n"
     "  4  resource governance tripped: --timeout-ms elapsed before the query\n"
     "     finished (DeadlineExceeded) or a construction/admission budget ran\n"
     "     out (ResourceExhausted)\n";
@@ -123,6 +121,29 @@ bool flag_present(int argc, char** argv, const char* name) {
   for (int i = 0; i < argc; ++i)
     if (std::strcmp(argv[i], name) == 0) return true;
   return false;
+}
+
+/// Every option any subcommand reads, space-delimited: switches, and
+/// options that take a value.
+constexpr std::string_view kSwitchOptions = " --positions --exact-begins --stream ";
+constexpr std::string_view kValueOptions =
+    " --variant --chunks --threads --timeout-ms --offset --limit --patterns"
+    " --window --machine --format --seed ";
+
+/// The first `--` argument that names no known option, or nullptr. The
+/// first operand (argv[2]) may be a pattern that starts with "--", so an
+/// unknown word there passes; a known option's value is skipped.
+const char* unknown_option(int argc, char** argv) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const std::string padded = " " + std::string(argv[i]) + " ";
+    if (kValueOptions.find(padded) != std::string_view::npos) {
+      ++i;
+      continue;
+    }
+    if (i > 2 && kSwitchOptions.find(padded) == std::string_view::npos) return argv[i];
+  }
+  return nullptr;
 }
 
 /// Parses --timeout-ms into a deadline (0 / absent = ungoverned). A tripped
@@ -174,7 +195,6 @@ int cmd_match(const std::string& pattern_text, const std::string& path, int argc
       std::strtoul(flag_value(argc, argv, "--chunks", "16").c_str(), nullptr, 10));
   const auto threads = static_cast<unsigned>(
       std::strtoul(flag_value(argc, argv, "--threads", "0").c_str(), nullptr, 10));
-  const bool convergence = flag_present(argc, argv, "--convergence");
 
   const Engine engine(Pattern::compile(pattern_text), {.threads = threads});
   const std::vector<Symbol> input = engine.translate(text);
@@ -208,19 +228,8 @@ int cmd_match(const std::string& pattern_text, const std::string& path, int argc
                   variant_name(variant));
       continue;
     }
-    QueryOptions options{.variant = variant, .chunks = chunks,
-                         .convergence = convergence};
+    QueryOptions options{.variant = variant, .chunks = chunks};
     options.deadline = parse_timeout_flag(argc, argv);
-    // A single requested variant that cannot honor --convergence rejects
-    // (QueryError, exit 2). In the `all` sweep, drop the knob per variant
-    // with an explicit note so rows are never silently mislabeled.
-    if (convergence && sweeping_all &&
-        !engine.device(variant).capabilities().convergence) {
-      std::fprintf(stderr, "rispar: note: %s does not support --convergence; "
-                           "running it without\n",
-                   variant_name(variant));
-      options.convergence = false;
-    }
     Stopwatch clock;
     const QueryResult result = engine.recognize(input, options);
     std::printf("%-4s: %-8s %9.3f ms, %llu transitions, c=%llu\n",
@@ -241,8 +250,7 @@ int cmd_count(const std::string& pattern_text, const std::string& path, int argc
   const auto chunks = static_cast<std::size_t>(
       std::strtoul(flag_value(argc, argv, "--chunks", "16").c_str(), nullptr, 10));
   const Engine engine(Pattern::compile(pattern_text));
-  QueryOptions options{.chunks = chunks,
-                       .convergence = flag_present(argc, argv, "--convergence")};
+  QueryOptions options{.chunks = chunks};
   options.deadline = parse_timeout_flag(argc, argv);
   Stopwatch clock;
   const QueryResult counted = engine.count(text, options);
@@ -280,7 +288,6 @@ int cmd_find_stream(const std::vector<std::string>& pattern_texts, bool multi,
   options.positions = true;
   options.chunks = static_cast<std::size_t>(
       std::strtoul(flag_value(argc, argv, "--chunks", "16").c_str(), nullptr, 10));
-  options.convergence = flag_present(argc, argv, "--convergence");
   if (flag_present(argc, argv, "--exact-begins"))
     options.begin_mode = BeginMode::kExact;
   // Per-feed deadline: each window must join within the budget.
@@ -416,7 +423,6 @@ int cmd_find(int argc, char** argv) {
   QueryOptions options;
   options.chunks = static_cast<std::size_t>(
       std::strtoul(flag_value(argc, argv, "--chunks", "16").c_str(), nullptr, 10));
-  options.convergence = flag_present(argc, argv, "--convergence");
   if (flag_present(argc, argv, "--exact-begins"))
     options.begin_mode = BeginMode::kExact;
   options.deadline = parse_timeout_flag(argc, argv);
@@ -523,6 +529,10 @@ int main(int argc, char** argv) {
   if (command == "--help" || command == "-h" || command == "help") {
     std::fputs(kUsage, stdout);
     return 0;
+  }
+  if (const char* unknown = unknown_option(argc, argv)) {
+    std::fprintf(stderr, "rispar: unknown option '%s'\n", unknown);
+    return 2;
   }
   try {
     if (command == "compile" && argc >= 3) return cmd_compile(argv[2]);
