@@ -59,8 +59,8 @@ class SymbolMap {
   /// Every output symbol is either kUnmapped or in [0, num_symbols()). The
   /// parallel byte entry points never call this on a whole text: the chunk
   /// walker reads bytes through the table block by block (translate_block,
-  /// MappedBytes). It serves the serial oracles, the streaming feeds and
-  /// the NFA/SFA chunk tasks, each over its own span.
+  /// MappedBytes). It serves the serial oracles and the NFA/SFA chunk
+  /// tasks, each over its own span.
   std::vector<std::int32_t> translate(std::string_view text) const;
 
   /// Translates `bytes` into out[0, bytes.size()) and returns the index of

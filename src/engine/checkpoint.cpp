@@ -158,8 +158,8 @@ std::string encode(const StreamCarry* decision, std::uint64_t consumed,
   return out;
 }
 
-Image decode(std::string_view blob, const QueryOptions& options, bool decision,
-             std::size_t patterns, std::uint64_t fingerprint) {
+Image decode(std::string_view blob, const QueryOptions& options, const Device* decision,
+             std::span<const State> searcher_states, std::uint64_t fingerprint) {
   fault::maybe_throw("checkpoint.decode");
   // The blob is internally consistent once the envelope opens (checksum
   // passed); what remains is whether it belongs to THIS session.
@@ -176,10 +176,10 @@ Image decode(std::string_view blob, const QueryOptions& options, bool decision,
 
   Image image;
   std::size_t pos = 0;
-  if (get_flag(env.body, pos, "has_decision") != decision)
-    reject(decision ? "find-only blob offered to a StreamSession resume"
-                    : "blob with a decision side offered to a find-only resume");
-  if (decision) {
+  if (get_flag(env.body, pos, "has_decision") != (decision != nullptr))
+    reject(decision != nullptr ? "find-only blob offered to a StreamSession resume"
+                               : "blob with a decision side offered to a find-only resume");
+  if (decision != nullptr) {
     if (env.variant != static_cast<std::uint8_t>(options.variant))
       reject(env.variant > static_cast<std::uint8_t>(Variant::kSfa)
                  ? "malformed variant"
@@ -196,7 +196,8 @@ Image decode(std::string_view blob, const QueryOptions& options, bool decision,
     carry.states.reserve(nstates);
     for (std::uint32_t i = 0; i < nstates; ++i) {
       const State state = static_cast<State>(get_u32(env.body, pos));
-      if (state < 0) reject("decision state out of range");
+      if (state < 0 || state >= decision->carry_states())
+        reject("decision state out of range");
       carry.states.push_back(state);
     }
     if (carry.at_start && (!carry.states.empty() || carry.windows != 0))
@@ -207,12 +208,13 @@ Image decode(std::string_view blob, const QueryOptions& options, bool decision,
 
   image.consumed = get_u64(env.body, pos);
   const std::uint32_t npatterns = get_u32(env.body, pos);
-  if (npatterns != patterns)
+  if (npatterns != searcher_states.size())
     reject("fleet size mismatch (blob has " + std::to_string(npatterns) +
-           " carries, resuming session has " + std::to_string(patterns) + ")");
+           " carries, resuming session has " + std::to_string(searcher_states.size()) +
+           ")");
   image.carries.reserve(npatterns);
-  for (std::uint32_t i = 0; i < npatterns; ++i) {
-    FindCarry carry = decode_find_carry(env.body, pos);
+  for (const State states : searcher_states) {
+    FindCarry carry = decode_find_carry(env.body, pos, states);
     // Every pattern of a session is fed the same windows, so each carry's
     // byte count must equal the session's.
     if (carry.consumed != image.consumed)

@@ -15,7 +15,7 @@
 // uninterrupted session's and the serial oracle's under every window
 // segmentation (CheckpointFuzz in tests/test_fuzz.cpp).
 //
-// Blob layout, version 2 (all integers little-endian, unaligned):
+// Blob layout, version 3 (all integers little-endian, unaligned):
 //
 //   u32 magic "RSCK" | u32 version | u8 variant | u8 positions |
 //   u8 begin_mode | u64 fingerprint | body | u64 checksum64(everything
@@ -24,11 +24,23 @@
 //   body := u8 has_decision | [u8 at_start | u64 transitions | u64 windows |
 //           u32 nstates | nstates x u32 state]  (only when has_decision) |
 //           u64 consumed | u32 npatterns | npatterns x find-carry image
+//
+//   find-carry image := u32 state | u8 at_start | u8 died | u64 consumed |
+//           u64 last_sep | u64 matches | u64 transitions | u64 history_base |
+//           u64 nhistory | nhistory x u8 raw stream byte
 //           (parallel/match_count.hpp encode_find_carry)
 //
 // `variant` is the decision device's (0 without a decision side). A blob
 // with a decision side resumes only a StreamSession, one without only a
-// MultiStreamSession; version 1 blobs (the two-kind layout) reject.
+// MultiStreamSession. The kExact history is the raw byte tail, one byte per
+// retained stream byte. Version 1 blobs (the two-kind layout) and version 2
+// blobs (a u32 per retained symbol) reject.
+//
+// Decoded states are range-checked against the resuming session's
+// machines: a decision state must lie below its device's carry_states(), a
+// live find carry's state below its searcher's state count — a forged blob
+// with a valid checksum still gets a typed error, never a wild read at the
+// next feed.
 //
 // The fingerprint is fleet_fingerprint over the session's patterns (one
 // for a StreamSession): per pattern a checksum64 over the minimal DFA's
@@ -65,7 +77,7 @@
 namespace rispar::checkpoint {
 
 inline constexpr std::uint32_t kMagic = 0x4b435352u;  // "RSCK" as u32le
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Stable identity of one compiled pattern for resume validation: a
 /// checksum64 over the minimal DFA's content (shape, initial state, finals,
@@ -95,13 +107,15 @@ std::string encode(const StreamCarry* decision, std::uint64_t consumed,
                    std::span<const FindCarry> carries, const QueryOptions& options,
                    std::uint64_t fingerprint);
 
-/// Validates and decodes an encode() blob for a session that has a
-/// decision side iff `decision` and `patterns` find carries. Throws
-/// ValidationError on ANY mismatch: magic/version/checksum (corruption,
-/// truncation), the decision side's presence, variant/positions/begin_mode
-/// against `options`, the fingerprint, the carry count. Fault site
+/// Validates and decodes an encode() blob for a session whose decision
+/// side runs on `decision` (nullptr for a find-only session) and whose find
+/// side has one pattern per `searcher_states` entry (that pattern's
+/// searcher state count). Throws ValidationError on ANY mismatch:
+/// magic/version/checksum (corruption, truncation), the decision side's
+/// presence, variant/positions/begin_mode against `options`, the
+/// fingerprint, the carry count, a state outside its machine. Fault site
 /// "checkpoint.decode".
-Image decode(std::string_view blob, const QueryOptions& options, bool decision,
-             std::size_t patterns, std::uint64_t fingerprint);
+Image decode(std::string_view blob, const QueryOptions& options, const Device* decision,
+             std::span<const State> searcher_states, std::uint64_t fingerprint);
 
 }  // namespace rispar::checkpoint

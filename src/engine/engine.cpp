@@ -203,33 +203,12 @@ void StreamSession::feed(std::string_view bytes, const MatchSink* sink) {
   ensure_live();
   try {
     // One governor per FEED: its clock starts here and covers both the
-    // decision window and the find side.
+    // decision window and the find side. Both read the raw bytes, each
+    // through its own machine's map.
     const QueryGovernor governor(options_.deadline, options_.cancel);
-    if (dead()) {
-      // The decision already died — its window would no-op anyway, so skip
-      // the device-side translation (the tailing steady state: only the
-      // find side still scans). Keep the window accounting.
-      if (!bytes.empty()) ++carry_.windows;
-    } else {
-      device_->stream_feed(carry_, pattern_.translate(bytes), *pool_, options_,
-                           &governor);
-    }
+    device_->stream_feed(carry_, MappedBytes(bytes, pattern_.symbols()), *pool_, options_,
+                         &governor);
     if (find_) find_->feed(bytes, sink, governor);
-  } catch (...) {
-    poisoned_ = true;
-    throw;
-  }
-}
-
-void StreamSession::feed(std::span<const Symbol> window) {
-  if (find_)
-    throw ValidationError(
-        "stream (positions): symbol-span windows cannot serve streaming find "
-        "— the searcher translates raw bytes with its own map; feed "
-        "string_view windows (or open the session without positions)");
-  ensure_live();
-  try {
-    device_->stream_feed(carry_, window, *pool_, options_);
   } catch (...) {
     poisoned_ = true;
     throw;
@@ -249,7 +228,7 @@ std::string StreamSession::checkpoint() const {
 
 void StreamSession::resume(std::string_view blob) {
   checkpoint::Image image = checkpoint::decode(
-      blob, options_, /*decision=*/true, find_ ? 1 : 0,
+      blob, options_, device_, find_ ? find_->searcher_states() : std::vector<State>{},
       checkpoint::fleet_fingerprint(std::span(&pattern_, 1)));
   carry_ = std::move(*image.decision);
   if (find_) {
@@ -298,7 +277,7 @@ MultiStreamSession::MultiStreamSession(std::vector<Pattern> patterns,
                                        std::string_view checkpoint)
     : MultiStreamSession(std::move(patterns), pool, std::move(options)) {
   checkpoint::Image image =
-      checkpoint::decode(checkpoint, options_, /*decision=*/false, patterns_.size(),
+      checkpoint::decode(checkpoint, options_, /*decision=*/nullptr, searcher_states(),
                          checkpoint::fleet_fingerprint(patterns_));
   consumed_ = image.consumed;
   carries_ = std::move(image.carries);
@@ -317,6 +296,12 @@ std::string MultiStreamSession::checkpoint(const StreamCarry* decision) const {
         "never carry match payloads, so resuming would silently drop them");
   return checkpoint::encode(decision, consumed_, carries_, options_,
                             checkpoint::fleet_fingerprint(patterns_));
+}
+
+std::vector<State> MultiStreamSession::searcher_states() const {
+  std::vector<State> states;
+  for (const Pattern& pattern : patterns_) states.push_back(pattern.searcher().num_states());
+  return states;
 }
 
 void MultiStreamSession::ensure_live() const {
@@ -343,10 +328,10 @@ void MultiStreamSession::feed(std::string_view bytes, const MatchSink* sink,
     const QueryGovernor* gov = governor.active() ? &governor : nullptr;
     const MatchSink buffer = [this](const Match& match) { pending_.push_back(match); };
     const MatchSink& out = sink != nullptr ? *sink : buffer;
-    // Each pattern translates the window with its own searcher map.
+    // Each pattern reads the window through its own searcher's map.
     const auto scan = [&](std::size_t p, const MatchSink& to) {
       const Dfa& searcher = patterns_[p].searcher();
-      stream_find_feed(searcher, carries_[p], searcher.symbols().translate(bytes),
+      stream_find_feed(searcher, carries_[p], MappedBytes(bytes, searcher.symbols()),
                        *pool_, options_, to, static_cast<std::uint32_t>(p), gov,
                        reverses_[p]);
     };

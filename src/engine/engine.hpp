@@ -10,10 +10,11 @@
 //   auto session = engine.stream();                 // window-by-window
 //   engine.match_all(texts);                        // many texts, one pool
 //
-// All entry points accept raw bytes (std::string_view); the one-shot ones
-// never materialize the text's symbols — each chunk walk reads its bytes
-// through the symbol map (MappedBytes). span<const Symbol> overloads are for
-// callers that already hold symbols (the bench drivers). The four devices — DFA,
+// Every entry point reads raw bytes (std::string_view), one-shot and
+// streaming alike, and none materializes the text's symbols — each chunk
+// walk reads its bytes through the symbol map (MappedBytes). The only
+// symbol-span surface left is recognize(span) and translate(), kept for the
+// perfbench harness, whose traced loop times them. The four devices — DFA,
 // NFA, RID, SFA — sit behind the polymorphic Device registry; options a
 // device cannot honor raise QueryError instead of being silently ignored.
 //
@@ -101,6 +102,8 @@ class Engine {
 
   /// Whole-input parallel recognition with options.variant's device.
   QueryResult recognize(std::string_view text, const QueryOptions& options = {}) const;
+  /// The same over pre-translated symbols (the perfbench harness times
+  /// translate() and this separately).
   QueryResult recognize(std::span<const Symbol> input,
                         const QueryOptions& options = {}) const;
 
@@ -161,7 +164,8 @@ class Engine {
   /// Engine's subset_budget — throws ResourceExhausted when it trips.
   const Dfa& searcher() const { return pattern_.searcher(config_.subset_budget); }
 
-  /// Translates byte text with the pattern's SymbolMap.
+  /// Translates byte text with the pattern's SymbolMap (for recognize(span)
+  /// and the serial oracles; no query path calls it).
   std::vector<Symbol> translate(std::string_view text) const {
     return pattern_.translate(text);
   }
@@ -276,6 +280,9 @@ class MultiStreamSession {
   /// The one checkpoint body; `decision` is a StreamSession's carry
   /// (nullptr for a find-only session).
   std::string checkpoint(const StreamCarry* decision) const;
+  /// Each pattern's searcher state count, the bound a resume checks the
+  /// decoded find states against.
+  std::vector<State> searcher_states() const;
   void ensure_live() const;
 
   std::vector<Pattern> patterns_;
@@ -311,8 +318,7 @@ class MultiStreamSession {
 /// BeginMode::kExact it is the true leftmost start, resolved through the
 /// reverse DFA over the carried history tail (begins cross window
 /// boundaries exactly). Callers that slice text around matches must retain
-/// bytes accordingly. Symbol-span feeds cannot serve finding (the searcher
-/// translates raw bytes with its own map) and REJECT on positions sessions.
+/// bytes accordingly.
 ///
 /// Governance and poisoning: QueryOptions::{deadline, cancel} apply PER
 /// FEED — each feed builds one governor at the feed call, shared by the
@@ -332,9 +338,6 @@ class StreamSession {
   /// Consumes the next window, draining its matches through `sink` instead
   /// of buffering. QueryError unless the session was opened with positions.
   void feed(std::string_view bytes, const MatchSink& sink);
-  /// Device-symbol window (callers that translate once). QueryError on a
-  /// positions session — finding needs the raw bytes.
-  void feed(std::span<const Symbol> window);
 
   /// Decision over everything fed so far (callable repeatedly; feed() may
   /// continue afterwards).

@@ -3,53 +3,42 @@
 #include <cassert>
 
 #include "parallel/chunking.hpp"
-#include "parallel/match_count.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rispar {
 
 namespace {
 
-// Empty input: no chunks run; acceptance is a pure initial/final check.
-QueryResult empty_input_result(bool initial_is_final) {
-  QueryResult stats;
-  stats.accepted = initial_is_final;
-  return stats;
-}
-
-// Per-query governor shared by every chunk task of a recognize() call.
-// Normalized to nullptr when inactive so the kernels' fast paths never
-// even branch on the pointer.
-const QueryGovernor* normalize(const QueryGovernor& own) {
-  return own.active() ? &own : nullptr;
-}
-
-// Prologue shared by every stream_feed: empty windows are no-ops; a dead
-// carry only grows the window count. Returns true when the window runs.
-bool stream_window_begins(StreamCarry& carry, std::span<const Symbol> window) {
-  if (window.empty()) return false;
+// The skeleton of every device's window body. Empty windows are no-ops and
+// a dead carry only grows the window count. Otherwise the reach runs one
+// pool task per chunk — run(chunk, i), where chunk 0 continues from the
+// carry and later chunks speculate — and join(results) folds the chunk
+// results into the carry; both phases are timed.
+template <typename Result, typename Source, typename Run, typename Join>
+WindowStats reach_and_join(StreamCarry& carry, const Source& window, ThreadPool& pool,
+                           std::size_t chunks_requested, const QueryGovernor* governor,
+                           Run&& run, Join&& join) {
+  WindowStats stats;
+  if (window.empty()) return stats;
   ++carry.windows;
-  return carry.at_start || !carry.states.empty();
-}
+  if (!carry.at_start && carry.states.empty()) return stats;
 
-// Fan-out shared by every stream_feed: the window's first chunk continues
-// from `continuation` (run receives first = true), later chunks speculate
-// from `speculative`.
-template <typename Result, typename Run>
-std::vector<Result> run_window_chunks(std::span<const Symbol> window,
-                                      ThreadPool& pool, std::size_t chunks_requested,
-                                      std::span<const State> continuation,
-                                      std::span<const State> speculative,
-                                      const QueryGovernor* governor, Run&& run) {
   const auto chunks = split_chunks(window.size(), chunks_requested);
+  stats.chunks = chunks.size();
+  Stopwatch reach_clock;
   std::vector<Result> results(chunks.size());
   pool.run(chunks.size(), [&](std::size_t i) {
-    // Chunk boundary: the universal checkpoint every window shape honors.
+    // Chunk boundary: the universal checkpoint every window honors.
     if (governor != nullptr) governor->poll();
-    results[i] = run(window.subspan(chunks[i].begin, chunks[i].length),
-                     i == 0 ? continuation : speculative, i == 0);
+    results[i] = run(window.subspan(chunks[i].begin, chunks[i].length), i);
   }, governor);
-  return results;
+  stats.reach_seconds = reach_clock.seconds();
+
+  Stopwatch join_clock;
+  join(results);
+  carry.at_start = false;
+  stats.join_seconds = join_clock.seconds();
+  return stats;
 }
 
 // The NFA and SFA kernels read symbols: a byte chunk is translated inside
@@ -64,13 +53,13 @@ auto with_symbols(const MappedBytes& chunk, Fn&& fn) {
   return fn(std::span<const Symbol>(symbols));
 }
 
-// Join fold shared by the DFA/NFA streaming paths, which both track the
-// PLAS as a bitset: the first chunk's survivors are kept verbatim (their
-// starts were exactly the carried PLAS), later chunks filter through the
-// previous PLAS. `accumulate(next, entry)` adds one surviving λ entry.
+// The paper's serial join for the DFA and NFA, which both track the PLAS
+// as a bitset: the first chunk's survivors are kept verbatim (their starts
+// were exactly the carried PLAS), later chunks filter through the previous
+// PLAS. `accumulate(next, entry)` adds one surviving λ entry.
 template <typename Result, typename Accumulate>
-void join_window_into_carry(StreamCarry& carry, const std::vector<Result>& results,
-                            std::int32_t num_states, Accumulate&& accumulate) {
+void join_bitset_plas(StreamCarry& carry, const std::vector<Result>& results,
+                      std::int32_t num_states, Accumulate&& accumulate) {
   Bitset plas(static_cast<std::size_t>(num_states));
   bool first_chunk = true;
   for (const auto& chunk_result : results) {
@@ -84,9 +73,15 @@ void join_window_into_carry(StreamCarry& carry, const std::vector<Result>& resul
     first_chunk = false;
   }
   carry.states.clear();
-  for (State s = 0; s < num_states; ++s)
-    if (plas.test(static_cast<std::size_t>(s))) carry.states.push_back(s);
-  carry.at_start = false;
+  for (std::size_t s = plas.first(); s != Bitset::npos; s = plas.next(s))
+    carry.states.push_back(static_cast<State>(s));
+}
+
+bool any_final(const StreamCarry& carry, State initial, auto&& is_final) {
+  if (carry.at_start) return is_final(initial);
+  for (const State s : carry.states)
+    if (is_final(s)) return true;
+  return false;
 }
 
 }  // namespace
@@ -99,84 +94,45 @@ DfaDevice::DfaDevice(const Dfa& dfa) : dfa_(dfa) {
   for (State s = 0; s < dfa.num_states(); ++s) all_states_.push_back(s);
 }
 
-QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(input, pool, options);
+WindowStats DfaDevice::run_window(StreamCarry& carry, const MappedBytes& window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
-QueryResult DfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(text, pool, options);
+WindowStats DfaDevice::run_window(StreamCarry& carry, std::span<const Symbol> window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
 template <typename Source>
-QueryResult DfaDevice::recognize_source(const Source& input, ThreadPool& pool,
-                                        const QueryOptions& options) const {
-  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
-  if (input.empty()) return empty_input_result(dfa_.is_final(dfa_.initial()));
-
-  const auto chunks = split_chunks(input.size(), options.chunks);
-  QueryResult stats;
-  stats.chunks = chunks.size();
-
-  Stopwatch reach_clock;
-  std::vector<DetChunkResult> results(chunks.size());
-  const std::vector<State> first_start{dfa_.initial()};
-  const QueryGovernor own(options.deadline, options.cancel);
-  const QueryGovernor* gov = normalize(own);
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    // Classic CSDPA: chunk 1 knows its start, the rest speculate on all of Q.
-    const std::vector<State>& starts = i == 0 ? first_start : all_states_;
-    results[i] = run_chunk_det(dfa_, span, starts, {.governor = gov});
-  }, gov);
-  stats.reach_seconds = reach_clock.seconds();
-
-  Stopwatch join_clock;
-  // The paper's serial join: PLAS as a bitset over DFA states; λ_i entries
-  // filter-and-map it.
-  Bitset plas(static_cast<std::size_t>(dfa_.num_states()));
-  bool first_chunk = true;
-  for (const auto& chunk_result : results) {
-    stats.transitions += chunk_result.transitions;
-    Bitset next(static_cast<std::size_t>(dfa_.num_states()));
-    for (const auto& [start, end] : chunk_result.lambda) {
-      if (first_chunk || plas.test(static_cast<std::size_t>(start)))
-        next.set(static_cast<std::size_t>(end));
-    }
-    plas = std::move(next);
-    first_chunk = false;
-  }
-  stats.accepted = plas.intersects(dfa_.finals());
-  stats.join_seconds = join_clock.seconds();
-  return stats;
-}
-
-void DfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                              ThreadPool& pool, const QueryOptions& options,
-                              const QueryGovernor* governor) const {
-  if (!stream_window_begins(carry, window)) return;
-
+WindowStats DfaDevice::window_body(StreamCarry& carry, const Source& window,
+                                   ThreadPool& pool, const QueryOptions& options,
+                                   const QueryGovernor* governor) const {
+  // Classic CSDPA: the first chunk continues from the carried PLAS (the
+  // initial state alone on a fresh carry), the rest speculate on all of Q.
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{dfa_.initial()} : carry.states;
-  const auto results = run_window_chunks<DetChunkResult>(
-      window, pool, options.chunks, continuation, all_states_, governor,
-      [&](std::span<const Symbol> span, std::span<const State> starts, bool) {
-        return run_chunk_det(dfa_, span, starts, {.governor = governor});
-      });
-  join_window_into_carry(carry, results, dfa_.num_states(),
+  return reach_and_join<DetChunkResult>(
+      carry, window, pool, options.chunks, governor,
+      [&](const Source& chunk, std::size_t i) {
+        return run_chunk_det(dfa_, chunk, i == 0 ? continuation : all_states_,
+                             {.governor = governor});
+      },
+      [&](const std::vector<DetChunkResult>& results) {
+        join_bitset_plas(carry, results, dfa_.num_states(),
                          [](Bitset& next, const std::pair<State, State>& entry) {
                            next.set(static_cast<std::size_t>(entry.second));
                          });
+      });
 }
 
 bool DfaDevice::stream_accepted(const StreamCarry& carry) const {
-  if (carry.at_start) return dfa_.is_final(dfa_.initial());
-  for (const State s : carry.states)
-    if (dfa_.is_final(s)) return true;
-  return false;
+  return any_final(carry, dfa_.initial(), [&](State s) { return dfa_.is_final(s); });
 }
+
+State DfaDevice::carry_states() const { return dfa_.num_states(); }
 
 // ---------------------------------------------------------------- NfaDevice
 
@@ -186,90 +142,51 @@ NfaDevice::NfaDevice(const Nfa& nfa) : nfa_(nfa) {
   for (State s = 0; s < nfa.num_states(); ++s) all_states_.push_back(s);
 }
 
-QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(input, pool, options);
+WindowStats NfaDevice::run_window(StreamCarry& carry, const MappedBytes& window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
-QueryResult NfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(text, pool, options);
+WindowStats NfaDevice::run_window(StreamCarry& carry, std::span<const Symbol> window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
 template <typename Source>
-QueryResult NfaDevice::recognize_source(const Source& input, ThreadPool& pool,
-                                        const QueryOptions& options) const {
-  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
-  if (input.empty()) return empty_input_result(nfa_.is_final(nfa_.initial()));
-
-  const auto chunks = split_chunks(input.size(), options.chunks);
-  QueryResult stats;
-  stats.chunks = chunks.size();
-
-  Stopwatch reach_clock;
-  std::vector<NfaChunkResult> results(chunks.size());
-  const std::vector<State> first_start{nfa_.initial()};
-  const QueryGovernor own(options.deadline, options.cancel);
-  const QueryGovernor* gov = normalize(own);
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(all_states_);
-    results[i] = with_symbols(span, [&](std::span<const Symbol> symbols) {
-      return run_chunk_nfa(nfa_, symbols, starts, gov);
-    });
-  }, gov);
-  stats.reach_seconds = reach_clock.seconds();
-
-  Stopwatch join_clock;
-  // PLAS as a set of NFA states; λ_i(q) is itself a state set, so joining
-  // unions the images of the surviving starts.
-  Bitset plas(static_cast<std::size_t>(nfa_.num_states()));
-  bool first_chunk = true;
-  for (const auto& chunk_result : results) {
-    stats.transitions += chunk_result.transitions;
-    Bitset next(static_cast<std::size_t>(nfa_.num_states()));
-    for (const auto& [start, ends] : chunk_result.lambda) {
-      if (first_chunk || plas.test(static_cast<std::size_t>(start))) next |= ends;
-    }
-    plas = std::move(next);
-    first_chunk = false;
-  }
-  stats.accepted = plas.intersects(nfa_.finals());
-  stats.join_seconds = join_clock.seconds();
-  return stats;
-}
-
-void NfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                              ThreadPool& pool, const QueryOptions& options,
-                              const QueryGovernor* governor) const {
-  if (!stream_window_begins(carry, window)) return;
-
+WindowStats NfaDevice::window_body(StreamCarry& carry, const Source& window,
+                                   ThreadPool& pool, const QueryOptions& options,
+                                   const QueryGovernor* governor) const {
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{nfa_.initial()} : carry.states;
-  const auto results = run_window_chunks<NfaChunkResult>(
-      window, pool, options.chunks, continuation, all_states_, governor,
-      [&](std::span<const Symbol> span, std::span<const State> starts, bool first) {
-        // The first chunk's survivors are all kept verbatim by the join, so
-        // only the UNION of its end sets matters — one frontier simulation
-        // seeded with the whole carry instead of |carry| full chunk scans.
-        return first ? run_chunk_nfa_union(nfa_, span, starts, governor)
-                     : run_chunk_nfa(nfa_, span, starts, governor);
-      });
-  join_window_into_carry(carry, results, nfa_.num_states(),
+  return reach_and_join<NfaChunkResult>(
+      carry, window, pool, options.chunks, governor,
+      [&](const Source& chunk, std::size_t i) {
+        return with_symbols(chunk, [&](std::span<const Symbol> symbols) {
+          // The first chunk's survivors are all kept verbatim by the join,
+          // so only the UNION of its end sets matters — one frontier
+          // simulation seeded with the whole carry instead of |carry| full
+          // chunk scans (from the initial state alone it is run_chunk_nfa).
+          return i == 0 ? run_chunk_nfa_union(nfa_, symbols, continuation, governor)
+                        : run_chunk_nfa(nfa_, symbols, all_states_, governor);
+        });
+      },
+      [&](const std::vector<NfaChunkResult>& results) {
+        // λ_i(q) is itself a state set, so joining unions the images of
+        // the surviving starts.
+        join_bitset_plas(carry, results, nfa_.num_states(),
                          [](Bitset& next, const std::pair<State, Bitset>& entry) {
                            next |= entry.second;
                          });
+      });
 }
 
 bool NfaDevice::stream_accepted(const StreamCarry& carry) const {
-  if (carry.at_start) return nfa_.is_final(nfa_.initial());
-  for (const State s : carry.states)
-    if (nfa_.is_final(s)) return true;
-  return false;
+  return any_final(carry, nfa_.initial(), [&](State s) { return nfa_.is_final(s); });
 }
+
+State NfaDevice::carry_states() const { return nfa_.num_states(); }
 
 // ---------------------------------------------------------------- RidDevice
 
@@ -277,130 +194,68 @@ RidDevice::RidDevice(const Ridfa& ridfa) : ridfa_(ridfa) {
   ridfa.dfa().packed();  // warm the cache so pool workers never pay the build
 }
 
-QueryResult RidDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(input, pool, options);
+WindowStats RidDevice::run_window(StreamCarry& carry, const MappedBytes& window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
-QueryResult RidDevice::recognize(const MappedBytes& text, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(text, pool, options);
+WindowStats RidDevice::run_window(StreamCarry& carry, std::span<const Symbol> window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
 template <typename Source>
-QueryResult RidDevice::recognize_source(const Source& input, ThreadPool& pool,
-                                        const QueryOptions& options) const {
-  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
+WindowStats RidDevice::window_body(StreamCarry& carry, const Source& window,
+                                   ThreadPool& pool, const QueryOptions& options,
+                                   const QueryGovernor* governor) const {
   const Dfa& ca = ridfa_.dfa();
-  if (input.empty()) return empty_input_result(ridfa_.is_final(ridfa_.start_state()));
-
-  const auto chunks = split_chunks(input.size(), options.chunks);
-  QueryResult stats;
-  stats.chunks = chunks.size();
-
-  Stopwatch reach_clock;
-  std::vector<DetChunkResult> results(chunks.size());
-  const std::vector<State> first_start{ridfa_.start_state()};
-  const QueryGovernor own(options.deadline, options.cancel);
-  const QueryGovernor* gov = normalize(own);
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    // Only the interface states are speculative starts — this is the whole
-    // point of the RI-DFA (|I_B| = |Q_N| or less after minimization).
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(ridfa_.initial_states());
-    results[i] = run_chunk_det(ca, span, starts, {.governor = gov});
-  }, gov);
-  stats.reach_seconds = reach_clock.seconds();
-
-  Stopwatch join_clock;
-  // PLAS as an explicit CA-state list: between chunks it passes through the
-  // interface function (Sect. 3.2 / 3.4), which maps each contained NFA
-  // state to its (delegated) initial CA state.
-  std::vector<State> plas;
-  bool first_chunk = true;
-  for (const auto& chunk_result : results) {
-    stats.transitions += chunk_result.transitions;
-    std::vector<State> next;
-    if (first_chunk) {
-      for (const auto& [start, end] : chunk_result.lambda) {
-        (void)start;
-        next.push_back(end);
-      }
-    } else {
-      const std::vector<State> image = ridfa_.interface_image(plas);
-      Bitset allowed(static_cast<std::size_t>(ca.num_states()));
-      for (const State p : image) allowed.set(static_cast<std::size_t>(p));
-      for (const auto& [start, end] : chunk_result.lambda)
-        if (allowed.test(static_cast<std::size_t>(start))) next.push_back(end);
-    }
-    plas = std::move(next);
-    first_chunk = false;
-  }
-  stats.accepted = false;
-  for (const State p : plas)
-    if (ridfa_.is_final(p)) {
-      stats.accepted = true;
-      break;
-    }
-  stats.join_seconds = join_clock.seconds();
-  return stats;
-}
-
-void RidDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                              ThreadPool& pool, const QueryOptions& options,
-                              const QueryGovernor* governor) const {
-  if (!stream_window_begins(carry, window)) return;
-
-  const Dfa& ca = ridfa_.dfa();
-  // Reach phase: the window's first chunk continues from the carried PLAS
-  // (through the interface function), later chunks speculate as usual.
+  // The first chunk continues from the carried PLAS through the interface
+  // function. Later chunks speculate on the interface states only — the
+  // whole point of the RI-DFA (|I_B| = |Q_N| or less after minimization).
   const std::vector<State> continuation =
       carry.at_start ? std::vector<State>{ridfa_.start_state()}
                      : ridfa_.interface_image(carry.states);
-  const auto results = run_window_chunks<DetChunkResult>(
-      window, pool, options.chunks, continuation, ridfa_.initial_states(), governor,
-      [&](std::span<const Symbol> span, std::span<const State> starts, bool) {
-        return run_chunk_det(ca, span, starts, {.governor = governor});
+  return reach_and_join<DetChunkResult>(
+      carry, window, pool, options.chunks, governor,
+      [&](const Source& chunk, std::size_t i) {
+        return run_chunk_det(ca, chunk, i == 0 ? continuation : ridfa_.initial_states(),
+                             {.governor = governor});
+      },
+      [&](const std::vector<DetChunkResult>& results) {
+        // PLAS as an explicit CA-state list: between chunks it passes
+        // through the interface function (Sect. 3.2 / 3.4), which maps each
+        // contained NFA state to its (delegated) initial CA state. The
+        // first chunk's survivors are kept verbatim (their starts were
+        // already the carried image).
+        std::vector<State> plas;
+        bool first_chunk = true;
+        for (const auto& chunk_result : results) {
+          carry.transitions += chunk_result.transitions;
+          std::vector<State> next;
+          if (first_chunk) {
+            for (const auto& entry : chunk_result.lambda) next.push_back(entry.second);
+          } else {
+            Bitset allowed(static_cast<std::size_t>(ca.num_states()));
+            for (const State p : ridfa_.interface_image(plas))
+              allowed.set(static_cast<std::size_t>(p));
+            for (const auto& [start, end] : chunk_result.lambda)
+              if (allowed.test(static_cast<std::size_t>(start))) next.push_back(end);
+          }
+          plas = std::move(next);
+          first_chunk = false;
+        }
+        carry.states = std::move(plas);
       });
-
-  // Join within the window. The first chunk's survivors are kept verbatim
-  // (their starts were already filtered through the carried PLAS); later
-  // chunks filter through the interface image as in one-shot recognition.
-  // The PLAS stays an explicit CA-state list (the interface function
-  // consumes it), so this join does not share the bitset fold above.
-  std::vector<State> plas;
-  bool first_chunk = true;
-  for (const auto& chunk_result : results) {
-    carry.transitions += chunk_result.transitions;
-    std::vector<State> next;
-    if (first_chunk) {
-      for (const auto& [start, end] : chunk_result.lambda) {
-        (void)start;
-        next.push_back(end);
-      }
-    } else {
-      const std::vector<State> image = ridfa_.interface_image(plas);
-      Bitset allowed(static_cast<std::size_t>(ca.num_states()));
-      for (const State p : image) allowed.set(static_cast<std::size_t>(p));
-      for (const auto& [start, end] : chunk_result.lambda)
-        if (allowed.test(static_cast<std::size_t>(start))) next.push_back(end);
-    }
-    plas = std::move(next);
-    first_chunk = false;
-  }
-  carry.states = std::move(plas);
-  carry.at_start = false;
 }
 
 bool RidDevice::stream_accepted(const StreamCarry& carry) const {
-  if (carry.at_start) return ridfa_.is_final(ridfa_.start_state());
-  for (const State p : carry.states)
-    if (ridfa_.is_final(p)) return true;
-  return false;
+  return any_final(carry, ridfa_.start_state(),
+                   [&](State p) { return ridfa_.is_final(p); });
 }
+
+State RidDevice::carry_states() const { return ridfa_.num_states(); }
 
 // ---------------------------------------------------------------- SfaDevice
 
@@ -423,88 +278,58 @@ State SfaDevice::run_chunk(std::span<const Symbol> chunk,
   return sfa_.all_dead_state().value_or(kDeadState);
 }
 
-QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(input, pool, options);
+WindowStats SfaDevice::run_window(StreamCarry& carry, const MappedBytes& window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
-QueryResult SfaDevice::recognize(const MappedBytes& text, ThreadPool& pool,
-                                 const QueryOptions& options) const {
-  return recognize_source(text, pool, options);
+WindowStats SfaDevice::run_window(StreamCarry& carry, std::span<const Symbol> window,
+                                  ThreadPool& pool, const QueryOptions& options,
+                                  const QueryGovernor* governor) const {
+  return window_body(carry, window, pool, options, governor);
 }
 
 template <typename Source>
-QueryResult SfaDevice::recognize_source(const Source& input, ThreadPool& pool,
-                                        const QueryOptions& options) const {
-  validate_query(options, kRecognizeCaps, device_context("recognize", variant()));
-  if (input.empty()) return empty_input_result(ca_.is_final(ca_.initial()));
-
-  const auto chunks = split_chunks(input.size(), options.chunks);
-  QueryResult stats;
-  stats.chunks = chunks.size();
-
-  Stopwatch reach_clock;
+WindowStats SfaDevice::window_body(StreamCarry& carry, const Source& window,
+                                   ThreadPool& pool, const QueryOptions& options,
+                                   const QueryGovernor* governor) const {
+  struct Arrival {
+    State state = kDeadState;
+    std::uint64_t transitions = 0;
+  };
   // One SFA run per chunk, from the identity mapping — no speculation.
   // Governance is chunk-boundary only: Sfa::run is an opaque packed scan
   // with no start parameter, so there is no mid-chunk resume point worth a
   // finer stride (raise options.chunks for tighter trip latency).
-  const QueryGovernor own(options.deadline, options.cancel);
-  const QueryGovernor* gov = normalize(own);
-  std::vector<State> arrivals(chunks.size());
-  std::vector<std::uint64_t> counts(chunks.size(), 0);
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary
-    arrivals[i] = with_symbols(input.subspan(chunks[i].begin, chunks[i].length),
-                               [&](std::span<const Symbol> symbols) {
-                                 return run_chunk(symbols, counts[i]);
-                               });
-  }, gov);
-  stats.reach_seconds = reach_clock.seconds();
-
-  Stopwatch join_clock;
-  // Compose: thread the CA start state through each chunk's mapping.
-  State state = ca_.initial();
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    stats.transitions += counts[i];
-    if (state == kDeadState) continue;
-    state = arrivals[i] == kDeadState
-                ? kDeadState
-                : sfa_.mapping_entry(arrivals[i], state);
-  }
-  stats.accepted = state != kDeadState && ca_.is_final(state);
-  stats.join_seconds = join_clock.seconds();
-  return stats;
-}
-
-void SfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                              ThreadPool& pool, const QueryOptions& options,
-                              const QueryGovernor* governor) const {
-  if (!stream_window_begins(carry, window)) return;
-
-  const auto chunks = split_chunks(window.size(), options.chunks);
-  std::vector<State> arrivals(chunks.size());
-  std::vector<std::uint64_t> counts(chunks.size(), 0);
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (governor != nullptr) governor->poll();  // chunk boundary (see recognize)
-    arrivals[i] = run_chunk(window.subspan(chunks[i].begin, chunks[i].length), counts[i]);
-  }, governor);
-
-  State state = carry.at_start ? ca_.initial() : carry.states.front();
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    carry.transitions += counts[i];
-    if (state == kDeadState) continue;
-    state = arrivals[i] == kDeadState
-                ? kDeadState
-                : sfa_.mapping_entry(arrivals[i], state);
-  }
-  carry.states.clear();
-  if (state != kDeadState) carry.states.push_back(state);
-  carry.at_start = false;
+  return reach_and_join<Arrival>(
+      carry, window, pool, options.chunks, governor,
+      [&](const Source& chunk, std::size_t) {
+        return with_symbols(chunk, [&](std::span<const Symbol> symbols) {
+          Arrival arrival;
+          arrival.state = run_chunk(symbols, arrival.transitions);
+          return arrival;
+        });
+      },
+      [&](const std::vector<Arrival>& arrivals) {
+        // Compose: thread the carried CA state through each chunk's mapping.
+        State state = carry.at_start ? ca_.initial() : carry.states.front();
+        for (const Arrival& arrival : arrivals) {
+          carry.transitions += arrival.transitions;
+          if (state == kDeadState) continue;
+          state = arrival.state == kDeadState ? kDeadState
+                                              : sfa_.mapping_entry(arrival.state, state);
+        }
+        carry.states.clear();
+        if (state != kDeadState) carry.states.push_back(state);
+      });
 }
 
 bool SfaDevice::stream_accepted(const StreamCarry& carry) const {
   if (carry.at_start) return ca_.is_final(ca_.initial());
   return !carry.states.empty() && ca_.is_final(carry.states.front());
 }
+
+State SfaDevice::carry_states() const { return ca_.num_states(); }
 
 }  // namespace rispar

@@ -17,10 +17,17 @@
 // where map is the identity for DFA/NFA and the interface function for RID.
 // Acceptance: PLAS_c contains a final state. The SFA instead runs one
 // mapping-valued chunk automaton per chunk and composes the mappings.
-// recognize() returns the decision plus the overhead metrics the paper
-// reports (transition counts, per-phase wall times); stream_feed() applies
-// the same join condition at window granularity so texts larger than
-// memory recognize window by window with O(|PLAS|) carry-over.
+//
+// Each device codes reach + join once, as a private window body that
+// consumes one source into a StreamCarry: the window's first chunk
+// continues from the carried PLAS, later chunks speculate. The source is
+// raw bytes read through the pattern's map (MappedBytes) on every query
+// path; a symbol span only for Engine::recognize(span), which the perfbench
+// harness keeps. recognize() is that body run once on a fresh carry (the
+// first chunk then starts in the initial state only) and reports the
+// decision plus the overhead metrics the paper reports (transition counts,
+// per-phase wall times); stream_feed() runs it per window, so texts larger
+// than memory recognize window by window with O(|PLAS|) carry-over.
 #pragma once
 
 #include <cstdint>
@@ -46,21 +53,22 @@ class DfaDevice : public Device {
 
   Variant variant() const override { return Variant::kDfa; }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
+  State carry_states() const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, const MappedBytes& window, ThreadPool& pool,
+                         const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, std::span<const Symbol> window,
+                         ThreadPool& pool, const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
 
  private:
-  template <typename Source>  // span<const Symbol> or MappedBytes
-  QueryResult recognize_source(const Source& input, ThreadPool& pool,
-                               const QueryOptions& options) const;
+  template <typename Source>  // MappedBytes or span<const Symbol>
+  WindowStats window_body(StreamCarry& carry, const Source& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const;
 
   const Dfa& dfa_;
   std::vector<State> all_states_;  ///< speculative start set = Q
@@ -73,21 +81,22 @@ class NfaDevice : public Device {
 
   Variant variant() const override { return Variant::kNfa; }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
+  State carry_states() const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, const MappedBytes& window, ThreadPool& pool,
+                         const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, std::span<const Symbol> window,
+                         ThreadPool& pool, const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
 
  private:
-  template <typename Source>  // span<const Symbol> or MappedBytes
-  QueryResult recognize_source(const Source& input, ThreadPool& pool,
-                               const QueryOptions& options) const;
+  template <typename Source>  // MappedBytes or span<const Symbol>
+  WindowStats window_body(StreamCarry& carry, const Source& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const;
 
   const Nfa& nfa_;
   std::vector<State> all_states_;
@@ -99,21 +108,22 @@ class RidDevice : public Device {
 
   Variant variant() const override { return Variant::kRid; }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
+  State carry_states() const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, const MappedBytes& window, ThreadPool& pool,
+                         const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, std::span<const Symbol> window,
+                         ThreadPool& pool, const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
 
  private:
-  template <typename Source>  // span<const Symbol> or MappedBytes
-  QueryResult recognize_source(const Source& input, ThreadPool& pool,
-                               const QueryOptions& options) const;
+  template <typename Source>  // MappedBytes or span<const Symbol>
+  WindowStats window_body(StreamCarry& carry, const Source& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const;
 
   const Ridfa& ridfa_;
 };
@@ -130,21 +140,22 @@ class SfaDevice : public Device {
 
   Variant variant() const override { return Variant::kSfa; }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const MappedBytes& text, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
+  State carry_states() const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, const MappedBytes& window, ThreadPool& pool,
+                         const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
+  WindowStats run_window(StreamCarry& carry, std::span<const Symbol> window,
+                         ThreadPool& pool, const QueryOptions& options,
+                         const QueryGovernor* governor) const override;
 
  private:
-  template <typename Source>  // span<const Symbol> or MappedBytes
-  QueryResult recognize_source(const Source& input, ThreadPool& pool,
-                               const QueryOptions& options) const;
+  template <typename Source>  // MappedBytes or span<const Symbol>
+  WindowStats window_body(StreamCarry& carry, const Source& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const;
 
   /// Arrival SFA state of one chunk; kDeadState when the chunk contains an
   /// alien symbol and the all-dead mapping was never interned (total chunk

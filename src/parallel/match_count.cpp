@@ -433,7 +433,7 @@ QueryResult find_matches(const Dfa& dfa, std::string_view text, ThreadPool& pool
                      governor, reverse);
 }
 
-void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> window,
+void stream_find_feed(const Dfa& dfa, FindCarry& carry, const MappedBytes& window,
                       ThreadPool& pool, const QueryOptions& options,
                       const MatchSink& sink, std::uint32_t pattern_id,
                       const QueryGovernor* governor, const ReverseBegins* reverse) {
@@ -464,7 +464,7 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
     carry.at_start = false;
   }
   if (exact)  // history invariant: covers [history_base, consumed)
-    carry.history.insert(carry.history.end(), window.begin(), window.end());
+    carry.history.append(window.bytes);
 
   // Reach: exactly the one-shot fan-out, except the window's first chunk
   // continues from the CARRIED state instead of the initial one.
@@ -486,7 +486,7 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
                            reverse->separators_sound ? begin : carry.history_base;
                        begin = carry.history_base +
                                resolve_exact_begin(
-                                   reverse->dfa, carry.history,
+                                   reverse->dfa, MappedBytes(carry.history, *window.map),
                                    end - carry.history_base,
                                    floor - carry.history_base,
                                    begin - carry.history_base);
@@ -505,10 +505,7 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
       // No future match can start before the last separator: truncate the
       // carried tail to it. Unsound-separator patterns keep the full
       // history (the documented memory cost of exactness on such shapes).
-      carry.history.erase(carry.history.begin(),
-                          carry.history.begin() +
-                              static_cast<std::ptrdiff_t>(carry.last_sep -
-                                                          carry.history_base));
+      carry.history.erase(0, static_cast<std::size_t>(carry.last_sep - carry.history_base));
       carry.history_base = carry.last_sep;
     }
   }
@@ -565,11 +562,11 @@ void encode_find_carry(const FindCarry& carry, std::string& out) {
   carry_put_u64(out, carry.transitions);
   carry_put_u64(out, carry.history_base);
   carry_put_u64(out, carry.history.size());
-  for (const Symbol symbol : carry.history)
-    carry_put_u32(out, static_cast<std::uint32_t>(symbol));
+  out += carry.history;
 }
 
-FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
+FindCarry decode_find_carry(std::string_view image, std::size_t& pos,
+                            State searcher_states) {
   FindCarry carry;
   carry.state = static_cast<State>(carry_get_u32(image, pos));
   const std::uint8_t at_start = carry_get_u8(image, pos);
@@ -585,8 +582,13 @@ FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
   const std::uint64_t history_size = carry_get_u64(image, pos);
   // The length is validated against the REMAINING image before any
   // allocation — a forged length cannot reserve gigabytes off a short blob.
-  if (history_size > (image.size() - pos) / 4) carry_malformed("truncated history");
+  if (history_size > image.size() - pos) carry_malformed("truncated history");
   if (carry.state < kDeadState) carry_malformed("state below the dead sentinel");
+  // A live carry's state indexes the searcher's rows at the next feed; a
+  // fresh or died carry's state is never read.
+  if (!carry.at_start && !carry.died &&
+      (carry.state < 0 || carry.state >= searcher_states))
+    carry_malformed("state outside the searcher");
   if (carry.last_sep > carry.consumed) carry_malformed("last_sep past consumed");
   if (carry.history_base > carry.consumed) carry_malformed("history_base past consumed");
   if (carry.at_start &&
@@ -596,9 +598,8 @@ FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
   // consumed) exactly (stream_find_feed maintains it every feed).
   if (history_size != 0 && carry.history_base + history_size != carry.consumed)
     carry_malformed("history does not cover [history_base, consumed)");
-  carry.history.reserve(history_size);
-  for (std::uint64_t i = 0; i < history_size; ++i)
-    carry.history.push_back(static_cast<Symbol>(carry_get_u32(image, pos)));
+  carry.history.assign(image.substr(pos, static_cast<std::size_t>(history_size)));
+  pos += static_cast<std::size_t>(history_size);
   return carry;
 }
 

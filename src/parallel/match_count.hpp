@@ -153,16 +153,17 @@ struct FindCarry {
   std::uint64_t last_sep = 0;  ///< absolute last-separator position
   std::uint64_t matches = 0;   ///< total occurrences emitted so far
   std::uint64_t transitions = 0;
-  /// BeginMode::kExact only: retained window symbols the backward
-  /// reverse-DFA scan resolves cross-window begins over. `history_base` is
-  /// the absolute position of history[0]; the retained tail always covers
-  /// [history_base, consumed). When the reverse artifact certifies
-  /// separators sound, each feed truncates the tail to the post-join last
-  /// separator (a match can never start before it); otherwise the session
-  /// retains from the stream start — the price of exactness on patterns
-  /// whose separators are unsound (docs/api.md, "Begin modes"). Untouched
-  /// (empty) under kSeparator.
-  std::vector<Symbol> history;
+  /// BeginMode::kExact only: the retained raw window bytes the backward
+  /// reverse-DFA scan resolves cross-window begins over, read through the
+  /// searcher's map — one byte of RAM per retained stream byte.
+  /// `history_base` is the absolute position of history[0]; the retained
+  /// tail always covers [history_base, consumed). When the reverse artifact
+  /// certifies separators sound, each feed truncates the tail to the
+  /// post-join last separator (a match can never start before it);
+  /// otherwise the session retains from the stream start — the price of
+  /// exactness on patterns whose separators are unsound (docs/api.md,
+  /// "Begin modes"). Untouched (empty) under kSeparator.
+  std::string history;
   std::uint64_t history_base = 0;
 };
 
@@ -174,11 +175,13 @@ void encode_find_carry(const FindCarry& carry, std::string& out);
 
 /// Decodes an encode_find_carry image from `image` starting at `pos`,
 /// advancing `pos` past it. Throws ValidationError on truncation and on
-/// fields violating the carry invariants (history covers exactly
-/// [history_base, consumed) when retained; last_sep <= consumed; a fresh
-/// carry has nothing consumed) — a corrupted or forged image surfaces as
-/// a typed error, never as an inconsistent session.
-FindCarry decode_find_carry(std::string_view image, std::size_t& pos);
+/// fields violating the carry invariants (a live carry's state lies in
+/// [0, searcher_states); history covers exactly [history_base, consumed)
+/// when retained; last_sep <= consumed; a fresh carry has nothing
+/// consumed) — a corrupted or forged image surfaces as a typed error, never
+/// as an inconsistent session.
+FindCarry decode_find_carry(std::string_view image, std::size_t& pos,
+                            State searcher_states);
 
 /// What streaming find honors (chunks, begin_mode — no paging: an
 /// unbounded stream has no total to page against, so offset/limit REJECT),
@@ -188,7 +191,8 @@ inline constexpr const char* kStreamFindingContext =
     "streaming find (the window-fed position-emitting kernel; it honors "
     "chunks and begin_mode)";
 
-/// Consumes one window of a streamed input on the Σ*p searcher `dfa`,
+/// Consumes one window of raw bytes (read through `window.map`, the
+/// searcher's map) on the Σ*p searcher `dfa`,
 /// updating `carry` in place and emitting every occurrence ending inside
 /// the window through `sink` with ABSOLUTE offsets (begin may predate the
 /// window — the carried separator). Windows of any size: large windows fan
@@ -201,7 +205,7 @@ inline constexpr const char* kStreamFindingContext =
 /// the carry retains window history (FindCarry::history) so begins crossing
 /// feed boundaries resolve exactly — segmentation-invariant like the rest
 /// of the carry.
-void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> window,
+void stream_find_feed(const Dfa& dfa, FindCarry& carry, const MappedBytes& window,
                       ThreadPool& pool, const QueryOptions& options,
                       const MatchSink& sink, std::uint32_t pattern_id = 0,
                       const QueryGovernor* governor = nullptr,

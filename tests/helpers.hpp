@@ -48,6 +48,21 @@ inline Dfa fig2_dfa() {
   return dfa;
 }
 
+/// `symbols` as raw bytes for `map`: each symbol's representative byte,
+/// and SymbolMap::kUnmapped as the first byte the map leaves unmapped.
+inline std::string to_bytes(const SymbolMap& map, const std::vector<Symbol>& symbols) {
+  int alien = 0;  // callers only plant kUnmapped when the map leaves a byte out
+  while (alien < 255 && map.symbol_of(static_cast<unsigned char>(alien)) !=
+                            SymbolMap::kUnmapped)
+    ++alien;
+  std::string bytes;
+  bytes.reserve(symbols.size());
+  for (const Symbol symbol : symbols)
+    bytes.push_back(static_cast<char>(
+        symbol == SymbolMap::kUnmapped ? alien : map.representative(symbol)));
+  return bytes;
+}
+
 /// Uniform random symbol string over [0, k).
 inline std::vector<Symbol> random_word(Prng& prng, int k, std::size_t length) {
   std::vector<Symbol> word(length);

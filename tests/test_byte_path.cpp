@@ -251,6 +251,88 @@ TEST(BytePath, RecognizeMatchesSymbolsForEveryVariant) {
   }
 }
 
+/// Window cuts of a kLength text: the walker's block edges plus `extra`
+/// random ones, ascending and unique, every cut inside (0, kLength).
+std::vector<std::size_t> window_cuts(Prng& prng, std::size_t extra) {
+  std::vector<std::size_t> cuts{511, 512, 1023, 1024};
+  for (std::size_t i = 0; i < extra; ++i) cuts.push_back(1 + prng.next_below(kLength - 1));
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+TEST(BytePath, StreamFeedsMatchRecognizeForEveryVariant) {
+  // Recognize is the device's window body run once on a fresh carry, so a
+  // single-window feed equals it in decision AND transitions; any split
+  // (unmapped bytes planted inside windows and at their edges) keeps the
+  // decision.
+  Prng prng(0x57ea);
+  for (const char* regex : {"(a|b)*a(a|b){2}", "(a|b)*a(a|b){8}"}) {
+    const Engine engine(Pattern::compile(regex), {.threads = 3, .sfa_budget = 4096});
+    const std::string base = random_text(prng, "ab", {1, 1}, kLength);
+    for (const Variant variant : {Variant::kDfa, Variant::kNfa, Variant::kRid,
+                                  Variant::kSfa}) {
+      if (engine.try_device(variant) == nullptr) continue;  // SFA over budget
+      for (const std::size_t chunks : {1u, 3u, 8u}) {
+        std::vector<std::size_t> aliens = alien_positions(kLength, chunks);
+        aliens.push_back(kLength);  // none
+        for (const std::size_t at : aliens) {
+          SCOPED_TRACE(std::string(regex) + " " + variant_name(variant) + " chunks=" +
+                       std::to_string(chunks) + " alien@" + std::to_string(at));
+          const std::string text = planted(base, at);
+          const QueryOptions options{.variant = variant, .chunks = chunks};
+          const QueryResult one_shot = engine.recognize(text, options);
+
+          StreamSession whole = engine.stream(options);
+          whole.feed(text);
+          EXPECT_EQ(whole.accepted(), one_shot.accepted);
+          EXPECT_EQ(whole.transitions(), one_shot.transitions);
+
+          StreamSession split = engine.stream(options);
+          std::size_t offset = 0;
+          for (const std::size_t cut : window_cuts(prng, 3)) {
+            split.feed(std::string_view(text).substr(offset, cut - offset));
+            offset = cut;
+          }
+          split.feed(std::string_view(text).substr(offset));
+          EXPECT_EQ(split.accepted(), one_shot.accepted);
+        }
+      }
+    }
+  }
+}
+
+TEST(BytePath, ExactStreamFindResumesAtEveryCut) {
+  // kExact streaming find keeps the raw byte tail: checkpointing and
+  // resuming at every cut must still emit the serial oracle's list.
+  Prng prng(0xe8ac);
+  for (const char* regex : {"ab", "a(a|b)*b", "a|ba", "(ab|ba){2}"}) {
+    const Engine engine(Pattern::compile(regex), {.threads = 3});
+    const Dfa& searcher = engine.searcher();
+    const std::string text = random_text(prng, "abz", {5, 5, 1}, kLength);
+    const QueryResult oracle =
+        find_matches_serial(searcher, searcher.symbols().translate(text), 0,
+                            &engine.pattern().reverse_begins().dfa);
+    for (const std::size_t chunks : {1u, 3u}) {
+      SCOPED_TRACE(std::string(regex) + " chunks=" + std::to_string(chunks));
+      const QueryOptions options{.chunks = chunks, .positions = true,
+                                 .begin_mode = BeginMode::kExact};
+      StreamSession session = engine.stream(options);
+      std::vector<Match> collected;
+      std::size_t offset = 0;
+      for (const std::size_t cut : window_cuts(prng, 6)) {
+        session.feed(std::string_view(text).substr(offset, cut - offset));
+        for (const Match& match : session.take_matches()) collected.push_back(match);
+        offset = cut;
+        session = engine.resume_stream(session.checkpoint(), options);
+      }
+      session.feed(std::string_view(text).substr(offset));
+      for (const Match& match : session.take_matches()) collected.push_back(match);
+      EXPECT_EQ(collected, oracle.positions);
+    }
+  }
+}
+
 TEST(BytePath, MatchAllMatchesPerTextSymbols) {
   const Engine engine(Pattern::compile("(a|b)*a(a|b){2}"), {.threads = 3});
   Prng prng(0xa11);

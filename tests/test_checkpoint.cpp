@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,142 @@ TEST(Checkpoint, VersionOneBlobRejects) {
   EXPECT_THROW((void)engine.resume_stream(blob, {.positions = true}), ValidationError);
   const PatternSet set({pattern}, {.threads = 2});
   EXPECT_THROW((void)set.resume_stream(blob, {}), ValidationError);
+
+  // A well-formed blob in the retired version 2 layout — a kExact
+  // find-only session that consumed "ab", its history a u32 per symbol —
+  // must reject too. The same blob with version 3's byte history resumes,
+  // so the version alone decides.
+  const Dfa& searcher = pattern.searcher();
+  const auto find_only = [&](std::uint32_t version) {
+    std::string out;
+    put(out, checkpoint::kMagic, 4);
+    put(out, version, 4);
+    put(out, 0, 1);  // no decision variant
+    put(out, 1, 1);  // positions
+    put(out, static_cast<std::uint64_t>(BeginMode::kExact), 1);
+    put(out, checkpoint::fleet_fingerprint(std::span(&pattern, 1)), 8);
+    put(out, 0, 1);  // has_decision
+    put(out, 2, 8);  // consumed
+    put(out, 1, 4);  // one find carry
+    put(out, static_cast<std::uint64_t>(searcher.initial()), 4);
+    put(out, 0, 1);  // at_start
+    put(out, 0, 1);  // died
+    put(out, 2, 8);  // consumed
+    put(out, 0, 8);  // last_sep
+    put(out, 0, 8);  // matches
+    put(out, 2, 8);  // transitions
+    put(out, 0, 8);  // history_base
+    put(out, 2, 8);  // two retained stream positions
+    for (const char byte : std::string_view("ab")) {
+      if (version == 2)
+        put(out, static_cast<std::uint64_t>(searcher.symbols().symbol_of(byte)), 4);
+      else
+        put(out, static_cast<unsigned char>(byte), 1);
+    }
+    put(out, bundle::checksum64(out.data(), out.size()), 8);
+    return out;
+  };
+  const QueryOptions exact{.begin_mode = BeginMode::kExact};
+  EXPECT_THROW((void)set.resume_stream(find_only(2), exact), ValidationError);
+  MultiStreamSession resumed = set.resume_stream(find_only(3), exact);
+  resumed.feed("xab");
+  EXPECT_EQ(resumed.take_matches(), (std::vector<Match>{{0, 3, 5}}));
+}
+
+TEST(Checkpoint, ExactHistoryIsOneBytePerRetainedByte) {
+  // "a|ba" has unsound separators, so a kExact session retains the whole
+  // stream: the blob's history section is exactly the bytes fed, stored
+  // raw. A find-only blob is 94 bytes besides the history: the 19-byte
+  // header, has_decision, consumed, the carry count, the 54 fixed bytes of
+  // the find carry and the checksum.
+  const PatternSet set = PatternSet::compile({"a|ba"}, {.threads = 2});
+  ASSERT_FALSE(set.pattern(0).reverse_begins().separators_sound);
+  const QueryOptions options{.chunks = 2, .begin_mode = BeginMode::kExact};
+  MultiStreamSession session = set.stream_find(options);
+  std::string fed;
+  for (const std::string_view window : {"xxbab", "", "zbaab", "q"}) {
+    session.feed(window);
+    (void)session.take_matches();
+    fed += window;
+    const std::string blob = session.checkpoint();
+    EXPECT_EQ(blob.size(), 94 + fed.size());
+    const State states[] = {set.pattern(0).searcher().num_states()};
+    const checkpoint::Image image = checkpoint::decode(
+        blob, {.positions = true, .begin_mode = BeginMode::kExact}, nullptr, states,
+        checkpoint::fleet_fingerprint(std::span(&set.pattern(0), 1)));
+    ASSERT_EQ(image.carries.size(), 1u);
+    EXPECT_EQ(image.carries[0].history, fed);
+  }
+}
+
+TEST(Checkpoint, ForgedDecisionStatesReject) {
+  // A checksum-valid blob whose decision state lies outside the device's
+  // machine must reject at resume, not index past a table at the next feed.
+  const Pattern pattern = Pattern::compile("(ab)*c");
+  const Engine engine(pattern, {.threads = 2});
+  for (const Variant variant : {Variant::kDfa, Variant::kNfa, Variant::kRid,
+                                Variant::kSfa}) {
+    const QueryOptions options{.variant = variant, .chunks = 2};
+    const State limit = engine.device(variant).carry_states();
+    // Unsorted and repeated in-range states are harmless: the join folds
+    // them like any PLAS.
+    const std::vector<std::vector<State>> forgeries{
+        {50'000'000}, {limit}, {0, limit}, {limit - 1}, {limit - 1, 0, limit - 1}};
+    for (const std::vector<State>& forged : forgeries) {
+      SCOPED_TRACE(std::string(variant_name(variant)) + " states from " +
+                   std::to_string(forged.front()));
+      StreamCarry carry;
+      carry.at_start = false;
+      carry.windows = 1;
+      carry.states = forged;
+      const std::string blob = checkpoint::encode(
+          &carry, 0, {}, options, checkpoint::fleet_fingerprint(std::span(&pattern, 1)));
+      if (std::ranges::all_of(forged, [&](State s) { return s < limit; })) {
+        StreamSession resumed = engine.resume_stream(blob, options);
+        EXPECT_NO_THROW(resumed.feed("abc"));
+      } else {
+        EXPECT_THROW((void)engine.resume_stream(blob, options), ValidationError);
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, ForgedFindStatesReject) {
+  // The same for a find carry: a live carry's state must index the
+  // searcher. Fresh and died carries never read theirs, so any value
+  // passes there.
+  const Pattern pattern = Pattern::compile("ab");
+  const PatternSet set({pattern}, {.threads = 2});
+  const Engine engine(pattern, {.threads = 2});
+  const State limit = pattern.searcher().num_states();
+  const std::uint64_t fingerprint =
+      checkpoint::fleet_fingerprint(std::span(&pattern, 1));
+  for (const State forged : {State{50'000'000}, limit, limit - 1}) {
+    for (const bool died : {false, true}) {
+      SCOPED_TRACE("state " + std::to_string(forged) + " died " + std::to_string(died));
+      FindCarry carry;
+      carry.state = forged;
+      carry.at_start = false;
+      carry.died = died;
+      carry.consumed = 2;
+      const bool valid = died || forged < limit;
+      const QueryOptions options{.positions = true};
+      const std::string multi =
+          checkpoint::encode(nullptr, 2, std::span(&carry, 1), options, fingerprint);
+      const StreamCarry decision;  // fresh: only the find side is forged
+      const std::string single =
+          checkpoint::encode(&decision, 2, std::span(&carry, 1), options, fingerprint);
+      if (valid) {
+        MultiStreamSession resumed = set.resume_stream(multi, {});
+        EXPECT_NO_THROW(resumed.feed("ab"));
+        StreamSession session = engine.resume_stream(single, options);
+        EXPECT_NO_THROW(session.feed("ab"));
+      } else {
+        EXPECT_THROW((void)set.resume_stream(multi, {}), ValidationError);
+        EXPECT_THROW((void)engine.resume_stream(single, options), ValidationError);
+      }
+    }
+  }
 }
 
 TEST(Checkpoint, FleetSizeAndOrderMismatchReject) {

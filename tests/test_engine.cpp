@@ -128,7 +128,7 @@ TEST(Engine, ValidationRejectsUnsupportedKnobs) {
   EXPECT_NO_THROW(engine.stream({.variant = Variant::kDfa, .positions = true}));
   {
     StreamCarry carry;
-    const std::vector<Symbol> window{0, 1};
+    const MappedBytes window("ab", engine.pattern().symbols());
     EXPECT_THROW(engine.device(Variant::kDfa)
                      .stream_feed(carry, window, engine.pool(),
                                   {.variant = Variant::kDfa, .offset = 1}),
@@ -292,19 +292,20 @@ TEST_P(EngineEquivalence, StreamAnySegmentationMatchesOneShot) {
       if (device == nullptr) continue;  // SFA exploded
       const QueryOptions options{.variant = variant, .chunks = 3};
       const QueryResult one_shot = engine.recognize(input, options);
+      const std::string bytes = testing::to_bytes(pattern.symbols(), input);
 
       // Single window: decision AND transition count match one-shot.
       StreamSession whole = engine.stream(options);
-      whole.feed(std::span<const Symbol>(input));
+      whole.feed(bytes);
       EXPECT_EQ(whole.accepted(), one_shot.accepted) << variant_name(variant);
       EXPECT_EQ(whole.transitions(), one_shot.transitions) << variant_name(variant);
 
       // Random segmentation: the decision is segmentation-invariant.
       StreamSession session = engine.stream(options);
       std::size_t offset = 0;
-      while (offset < input.size()) {
-        const std::size_t take = std::min(input.size() - offset, 1 + prng.pick_index(25));
-        session.feed(std::span<const Symbol>(input.data() + offset, take));
+      while (offset < bytes.size()) {
+        const std::size_t take = std::min(bytes.size() - offset, 1 + prng.pick_index(25));
+        session.feed(std::string_view(bytes).substr(offset, take));
         offset += take;
       }
       EXPECT_EQ(session.accepted(), one_shot.accepted)

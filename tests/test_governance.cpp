@@ -220,6 +220,7 @@ TEST(Governance, GovernedRunThatCompletesEqualsUngoverned) {
   const Engine engine(Pattern::from_nfa(testing::fig1_nfa()), {.threads = 2});
   const std::vector<Symbol> input =
       testing::random_word(prng, 3, 3 * kGovernorStride + 17);
+  const std::string bytes = testing::to_bytes(engine.pattern().symbols(), input);
 
   for (const Variant variant : kVariants) {
     for (const std::size_t chunks : {1u, 2u, 7u}) {
@@ -236,10 +237,10 @@ TEST(Governance, GovernedRunThatCompletesEqualsUngoverned) {
       StreamSession a = engine.stream(plain);
       StreamSession b = engine.stream(governed);
       std::size_t pos = 0;
-      while (pos < input.size()) {
+      while (pos < bytes.size()) {
         const std::size_t len =
-            std::min<std::size_t>(1 + prng.pick_index(9000), input.size() - pos);
-        const std::span<const Symbol> window(input.data() + pos, len);
+            std::min<std::size_t>(1 + prng.pick_index(9000), bytes.size() - pos);
+        const std::string_view window = std::string_view(bytes).substr(pos, len);
         a.feed(window);
         b.feed(window);
         pos += len;

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/checkpoint.hpp"
 #include "engine/compile_cache.hpp"
 #include "engine/engine.hpp"
 #include "server/catalog.hpp"
@@ -443,6 +444,16 @@ TEST(RispardErrors, HostileOpenAndResumePayloadsGetTypedErrors) {
   put_u32(no_flags, 1);
   put_u64(no_flags, 0);
   put_u32(no_flags, 2);
+  // A checksum-valid checkpoint of "ab" whose live find carry claims a
+  // searcher state far outside the machine.
+  const Pattern ab = Pattern::compile("ab");
+  FindCarry forged;
+  forged.state = 50'000'000;
+  forged.at_start = false;
+  forged.consumed = 2;
+  const std::string forged_blob =
+      checkpoint::encode(nullptr, 2, std::span(&forged, 1), {.positions = true},
+                         checkpoint::fleet_fingerprint(std::span(&ab, 1)));
 
   struct Case {
     const char* name;
@@ -477,6 +488,9 @@ TEST(RispardErrors, HostileOpenAndResumePayloadsGetTypedErrors) {
       {"resume blob is garbage", {"ab"},
        frame(FrameType::kResumeSession, payload(0, 1, {0}) + "not a blob"),
        ErrorCode::kValidation},
+      {"resume blob forges a find state", {"ab"},
+       frame(FrameType::kResumeSession, payload(0, 1, {0}) + forged_blob),
+       ErrorCode::kValidation},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -495,10 +509,16 @@ TEST(RispardErrors, HostileOpenAndResumePayloadsGetTypedErrors) {
       EXPECT_FALSE(client.recv(reply));  // malformed frames close the connection
     } else {
       EXPECT_EQ(sid, 1u);
-      // A typed reject leaves the connection serving.
+      // A typed reject leaves the connection serving, the next session
+      // included.
       ASSERT_TRUE(client.send(make_stats()));
       ASSERT_TRUE(client.recv(reply));
       EXPECT_EQ(reply.type, FrameType::kStatsJson);
+      if (c.catalog.empty()) continue;
+      ASSERT_NE(client.open(2, 0), 0u);
+      const auto fed = client.feed(2, "xab");
+      ASSERT_TRUE(fed.ok);
+      EXPECT_EQ(fed.matches_total, 1u);
     }
   }
 }

@@ -29,8 +29,7 @@ TEST(Streaming, EmptyStreamDecidedByInitialFinality) {
 TEST(Streaming, SingleWindowEqualsOneShot) {
   const Engine engine(Pattern::from_nfa(testing::fig1_nfa()), {.threads = 4});
   StreamSession stream = engine.stream({.variant = Variant::kRid, .chunks = 2});
-  const auto input = testing::fig1_string();
-  stream.feed(std::span<const Symbol>(input));
+  stream.feed(testing::to_bytes(engine.pattern().symbols(), testing::fig1_string()));
   EXPECT_TRUE(stream.accepted());
   EXPECT_EQ(stream.windows(), 1u);
 }
@@ -38,7 +37,7 @@ TEST(Streaming, SingleWindowEqualsOneShot) {
 TEST(Streaming, EmptyWindowIsANoop) {
   const Engine engine(Pattern::compile("(ab)*"), {.threads = 2});
   StreamSession stream = engine.stream({.variant = Variant::kRid, .chunks = 2});
-  stream.feed(std::span<const Symbol>{});
+  stream.feed(std::string_view{});
   EXPECT_TRUE(stream.accepted());  // still the empty string
   EXPECT_EQ(stream.windows(), 0u);
 }
@@ -48,12 +47,11 @@ TEST(Streaming, DeadStreamShortCircuits) {
   for (const Variant variant : {Variant::kDfa, Variant::kNfa, Variant::kRid,
                                 Variant::kSfa}) {
     StreamSession stream = engine.stream({.variant = variant, .chunks = 2});
-    // An unmapped symbol kills every run.
-    const std::vector<Symbol> poison{SymbolMap::kUnmapped};
-    stream.feed(std::span<const Symbol>(poison));
+    // An unmapped byte kills every run.
+    const SymbolMap& map = engine.pattern().symbols();
+    stream.feed(testing::to_bytes(map, {SymbolMap::kUnmapped}));
     EXPECT_TRUE(stream.dead()) << variant_name(variant);
-    const std::vector<Symbol> more{0, 0};
-    stream.feed(std::span<const Symbol>(more));
+    stream.feed(testing::to_bytes(map, {0, 0}));
     EXPECT_FALSE(stream.accepted()) << variant_name(variant);
   }
 }
@@ -86,13 +84,14 @@ TEST_P(StreamingProperty, AnySegmentationMatchesOneShotOracle) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto input =
         testing::random_word(prng, nfa.num_symbols(), 1 + prng.pick_index(120));
+    const std::string bytes = testing::to_bytes(engine.pattern().symbols(), input);
     StreamSession stream = engine.stream({.variant = Variant::kRid, .chunks = 3});
     // Random segmentation into windows.
     std::size_t offset = 0;
-    while (offset < input.size()) {
+    while (offset < bytes.size()) {
       const std::size_t take =
-          std::min(input.size() - offset, 1 + prng.pick_index(30));
-      stream.feed(std::span<const Symbol>(input.data() + offset, take));
+          std::min(bytes.size() - offset, 1 + prng.pick_index(30));
+      stream.feed(std::string_view(bytes).substr(offset, take));
       offset += take;
     }
     EXPECT_EQ(stream.accepted(), oracle.accepts(input)) << "trial " << trial;
@@ -105,14 +104,12 @@ TEST_P(StreamingProperty, WorkloadTextsStreamCorrectly) {
   const auto& spec = suite[GetParam() % suite.size()];
   const Engine engine(Pattern::from_nfa(glushkov_nfa(spec.regex())), {.threads = 4});
   const std::string text = spec.text(20'000, prng);
-  const auto input = engine.translate(text);
 
   StreamSession stream = engine.stream({.variant = Variant::kRid, .chunks = 8});
-  for (std::size_t offset = 0; offset < input.size(); offset += 4096)
-    stream.feed(std::span<const Symbol>(
-        input.data() + offset, std::min<std::size_t>(4096, input.size() - offset)));
+  for (std::size_t offset = 0; offset < text.size(); offset += 4096)
+    stream.feed(std::string_view(text).substr(offset, 4096));
   EXPECT_TRUE(stream.accepted()) << spec.name;
-  EXPECT_GE(stream.transitions(), input.size());
+  EXPECT_GE(stream.transitions(), text.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingProperty,
@@ -254,7 +251,7 @@ TEST(StreamMisuse, PagingKnobsRejectedOnStreamingShapes) {
   // The kernel-layer entry rejects too (direct callers, same contract).
   const Dfa& searcher = engine.searcher();
   FindCarry carry;
-  const std::vector<Symbol> window{0};
+  const MappedBytes window("a", searcher.symbols());
   const MatchSink sink = [](const Match&) {};
   EXPECT_THROW(stream_find_feed(searcher, carry, window, engine.pool(),
                                 {.limit = 2, .positions = true}, sink),
@@ -280,18 +277,6 @@ TEST(StreamMisuse, DrainsRequireAPositionsSession) {
   const MatchSink sink = [](const Match&) {};
   EXPECT_THROW(stream.feed("ab", sink), QueryError);
   EXPECT_FALSE(stream.finds_positions());
-}
-
-TEST(StreamMisuse, SymbolWindowsRejectedOnPositionsSessions) {
-  const Engine engine(Pattern::compile("ab"), {.threads = 2});
-  StreamSession stream = engine.stream({.positions = true});
-  // The searcher translates raw bytes with its own map — device-symbol
-  // windows cannot serve finding and REJECT instead of desyncing offsets.
-  const std::vector<Symbol> window{0, 1};
-  EXPECT_THROW(stream.feed(std::span<const Symbol>(window)), QueryError);
-  // Byte windows still work on the same session afterwards.
-  stream.feed("ab");
-  EXPECT_EQ(stream.matches(), 1u);
 }
 
 TEST(StreamMisuse, ZeroLengthWindowsAreNoopsEverywhere) {
@@ -367,14 +352,11 @@ TEST(StreamPoisoning, ShapePreconditionRejectsNeverPoison) {
   const Engine engine(Pattern::compile("ab"), {.threads = 2});
   StreamSession stream = engine.stream();  // decision-only session
   EXPECT_THROW((void)stream.take_matches(), ValidationError);
-  const std::vector<Symbol> window{0, 1};
-  EXPECT_NO_THROW(stream.feed(std::span<const Symbol>(window)));
-
-  StreamSession finder = engine.stream({.positions = true});
-  EXPECT_THROW(finder.feed(std::span<const Symbol>(window)), ValidationError);
-  EXPECT_FALSE(finder.poisoned());  // nothing ran — the carry is untouched
-  finder.feed("ab");  // the session still works
-  EXPECT_EQ(finder.matches(), 1u);
+  const MatchSink sink = [](const Match&) {};
+  EXPECT_THROW(stream.feed("ab", sink), ValidationError);
+  EXPECT_FALSE(stream.poisoned());  // nothing ran — the carry is untouched
+  stream.feed("ab");  // the session still works
+  EXPECT_TRUE(stream.accepted());
 }
 
 TEST(StreamMisuse, FeedingAfterARejectingStateStaysRejected) {

@@ -17,6 +17,12 @@ the regression direction flipped, at the same threshold: a serving path can
 lose a PR on p99 growth even when aggregate throughput held, and the
 zero-copy loader can lose one on load-time growth.
 
+Repeated runs (--benchmark_repetitions=N) are gated on their "median"
+aggregate, matched by run_name+label; the other aggregates (mean, stddev,
+cv) are ignored. A median is never compared against a single run: when only
+one side reports aggregates the entry is a fresh baseline, so switching a
+binary to repetitions resets its series once.
+
 A missing or unreadable baseline file exits 0 with a note: the very first CI
 run (and any run after artifact expiry) has nothing to compare against —
 this script is the gate only once a trajectory exists.
@@ -42,18 +48,29 @@ def load(path):
 
 
 def series_key(entry):
-    # name already encodes the Args; the label carries the human series tag
-    # (e.g. "independent/walker"), which distinguishes relabeled runs.
-    return (entry.get("name", ""), entry.get("label", ""))
+    # run_name already encodes the Args (name adds the aggregate suffix);
+    # the label carries the human series tag (e.g. "c=8/walker"), which
+    # distinguishes relabeled runs.
+    return (entry.get("run_name", entry.get("name", "")), entry.get("label", ""))
+
+
+def gated_entries(results):
+    """The entries a file is gated on: its medians when it has repetitions,
+    else its single runs."""
+    entries = results.get("benchmarks", [])
+    if any(e.get("run_type") == "aggregate" for e in entries):
+        return [e for e in entries if e.get("aggregate_name") == "median"]
+    return entries
 
 
 def metric(entry):
     """Higher-is-better throughput figure for one benchmark entry."""
+    kind = "median " if entry.get("aggregate_name") == "median" else ""
     bps = entry.get("bytes_per_second")
     if bps:
-        return float(bps), "bytes_per_second"
+        return float(bps), kind + "bytes_per_second"
     real = float(entry.get("real_time", 0.0))
-    return (1.0 / real if real > 0 else 0.0), "1/real_time"
+    return (1.0 / real if real > 0 else 0.0), kind + "1/real_time"
 
 
 def guarded(entry, tags):
@@ -85,8 +102,8 @@ def main():
               f"{current}", file=sys.stderr)
         return 2
 
-    old = {series_key(e): e for e in baseline.get("benchmarks", [])}
-    new = {series_key(e): e for e in current.get("benchmarks", [])}
+    old = {series_key(e): e for e in gated_entries(baseline)}
+    new = {series_key(e): e for e in gated_entries(current)}
 
     regressions = []
     compared = 0
@@ -99,8 +116,9 @@ def main():
         new_value, how = metric(entry)
         old_value, old_how = metric(old[key])
         if how != old_how:
-            # A bench gained/lost SetBytesProcessed: the ratio would compare
-            # different units. Treat as a fresh baseline, not a result.
+            # A bench gained/lost SetBytesProcessed, or one side is a median
+            # and the other a single run: the ratio would compare different
+            # things. Treat as a fresh baseline, not a result.
             print(f"  metric changed ({old_how} -> {how}): {key[0]} [{key[1]}]")
             continue
         if old_value <= 0:
